@@ -1,26 +1,26 @@
 """Command-line experiment runner.
 
 Subcommands build models, collect rollouts, train the dynamics net, and
-run the scripted scenarios.  Exit codes: 0 success, 1 config/usage error,
-2 acceptance-metric failure under --assert.
+run the scripted scenarios.  Exit codes: 0 success, 1 config/usage, model
+or IO error (one line on stderr), 2 acceptance-metric failure under --assert.
 """
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import harness
-from .dynamic_ctrl import DynamicsModel, OptimizerConfig, collect_rollout, train_dynamics
+from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, TrainingThresholdError,
+                           collect_rollout, train_dynamics)
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_ekf_experiment, run_mrc_experiment, run_scenario,
                       train_pedal_dynamics)
-from .nets import TrainConfig
-from .plant import CarConfig, geometry_from_description
-from .static_ctrl import IntersensoryModel, init_from_geometry
+from .nets import ModelVersionError, TrainConfig
+from .plant import default_ankle_geometry, geometry_from_description
+from .static_ctrl import InitializationError, IntersensoryModel, init_from_geometry
 
 CONFIG_VERSION = 1
 
@@ -42,7 +42,7 @@ def load_config(path):
     return doc
 
 
-def _components(doc, seed):
+def _components(doc):
     geom = car_cfg = None
     if "plant" in doc:
         geom, car_cfg = geometry_from_description(doc["plant"])
@@ -60,32 +60,45 @@ def _opt_cfg(doc):
                            horizon=d.get("N", 10))
 
 
-def _dyn_train_cfg(doc, seed):
+def _dyn_train_cfg(doc):
     d = doc.get("dynamics", {}).get("train")
     return TrainConfig(**d) if d else None
 
 
-def cmd_init_model(args, doc):
-    geom, _, static_kwargs = _components(doc, args.seed)
-    if geom is None:
-        from .plant import default_ankle_geometry
-        geom = default_ankle_geometry()
+def _pretrain_static(args, doc):
+    geom, _, static_kwargs = _components(doc)
     static_kwargs.setdefault("seed", args.seed)
-    model = init_from_geometry(geom, **static_kwargs)
+    return init_from_geometry(geom or default_ankle_geometry(), **static_kwargs)
+
+
+def _out_path(args, name):
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "static_model.json")
+    return os.path.join(args.out, name)
+
+
+def cmd_init_model(args, doc):
+    model = _pretrain_static(args, doc)
+    path = _out_path(args, "static_model.json")
     model.save(path)
     print(f"wrote {path}")
     return 0
 
 
 def _rig_factory(args, doc):
-    geom, car_cfg, static_kwargs = _components(doc, args.seed)
+    """Pedal rigs sharing one static model, loaded or pre-trained by the first."""
+    geom, car_cfg, static_kwargs = _components(doc)
     model = IntersensoryModel.load(args.static_model) if args.static_model else None
     static_kwargs.setdefault("seed", args.seed)
-    return lambda: build_pedal_rig(seed=args.seed, static_model=model,
-                                   car_cfg=car_cfg, geom=geom,
-                                   static_kwargs=static_kwargs)
+
+    def factory():
+        nonlocal model
+        rig = build_pedal_rig(seed=args.seed, static_model=model,
+                              car_cfg=car_cfg, geom=geom,
+                              static_kwargs=static_kwargs)
+        model = rig.model
+        return rig
+
+    return factory
 
 
 def cmd_collect(args, doc):
@@ -93,8 +106,7 @@ def cmd_collect(args, doc):
     cfg = _opt_cfg(doc)
     duration = doc.get("dynamics", {}).get("rollout_s", 60.0)
     S0, U, Y = collect_rollout(rig, duration, args.seed, cfg.horizon)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "rollout.npz")
+    path = _out_path(args, "rollout.npz")
     np.savez(path, S0=S0, U=U, Y=Y, u_lo=rig.u_limits[0], u_hi=rig.u_limits[1])
     print(f"wrote {path} ({S0.shape[0]} windows)")
     return 0
@@ -104,11 +116,10 @@ def cmd_train_dynamics(args, doc):
     data = np.load(args.data)
     model = train_dynamics((data["S0"], data["U"], data["Y"]),
                            (float(data["u_lo"]), float(data["u_hi"])),
-                           train_cfg=_dyn_train_cfg(doc, args.seed),
+                           train_cfg=_dyn_train_cfg(doc),
                            rms_threshold=doc.get("dynamics", {}).get("rms_threshold", 0.3),
                            seed=args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "dynamics_model.json")
+    path = _out_path(args, "dynamics_model.json")
     model.save(path)
     print(f"wrote {path} (holdout RMS {model.holdout_rms:.3f} km/h)")
     return 0
@@ -123,41 +134,40 @@ def _scenario(doc, args, controller):
                     seed=args.seed, controller=controller)
 
 
-def _ensure_dynamics(args, doc):
+def _ensure_dynamics(args, doc, rig_factory):
     if args.dynamics_model:
         return DynamicsModel.load(args.dynamics_model)
     d = doc.get("dynamics", {})
-    return train_pedal_dynamics(_rig_factory(args, doc),
+    return train_pedal_dynamics(rig_factory,
                                 duration_s=d.get("rollout_s", 60.0),
                                 seed=args.seed, opt_cfg=_opt_cfg(doc),
-                                train_cfg=_dyn_train_cfg(doc, args.seed),
+                                train_cfg=_dyn_train_cfg(doc),
                                 rms_threshold=d.get("rms_threshold", 0.3))
 
 
 def cmd_run(args, doc):
     controller = doc.get("scenario", {}).get("controller", "learned")
     scenario = _scenario(doc, args, controller)
-    dyn = _ensure_dynamics(args, doc) if controller == "learned" else None
-    report = run_scenario(scenario, _rig_factory(args, doc)(), dyn,
+    rig_factory = _rig_factory(args, doc)
+    dyn = _ensure_dynamics(args, doc, rig_factory) if controller == "learned" else None
+    report = run_scenario(scenario, rig_factory(), dyn,
                           opt_cfg=_opt_cfg(doc),
                           pid_gains=doc.get("pid", harness.DEFAULT_PID),
                           out_dir=args.out, cfg_doc=doc)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "report.json")
-    report.save(path)
+    report.save(_out_path(args, "report.json"))
     print(report.to_json())
     return 0
 
 
 def cmd_compare(args, doc):
     scenario = _scenario(doc, args, "learned")
-    dyn = _ensure_dynamics(args, doc)
-    report = compare_controllers(scenario, _rig_factory(args, doc), dyn,
+    rig_factory = _rig_factory(args, doc)
+    dyn = _ensure_dynamics(args, doc, rig_factory)
+    report = compare_controllers(scenario, rig_factory, dyn,
                                  opt_cfg=_opt_cfg(doc),
                                  pid_gains=doc.get("pid", harness.DEFAULT_PID),
                                  out_dir=args.out)
-    os.makedirs(args.out, exist_ok=True)
-    report.save(os.path.join(args.out, "compare.json"))
+    report.save(_out_path(args, "compare.json"))
     print(report.to_json())
     if args.assert_metrics:
         learned = report.metrics["settle_time_learned_s"]
@@ -169,8 +179,7 @@ def cmd_compare(args, doc):
 
 
 def cmd_relax_demo(args, doc):
-    os.makedirs(args.out, exist_ok=True)
-    log = os.path.join(args.out, "relax_log.csv")
+    log = _out_path(args, "relax_log.csv")
     metrics = run_mrc_experiment(log_path=log)
     baseline = run_mrc_experiment(use_mrc=False)
     metrics["tension_norm_no_mrc_N"] = baseline["tension_norm_after_N"]
@@ -185,20 +194,13 @@ def cmd_relax_demo(args, doc):
 
 
 def cmd_ekf_demo(args, doc):
-    geom, _, static_kwargs = _components(doc, args.seed)
-    if args.static_model:
-        model = IntersensoryModel.load(args.static_model)
-    else:
-        from .plant import default_ankle_geometry
-        geom = geom or default_ankle_geometry()
-        static_kwargs.setdefault("seed", args.seed)
-        model = init_from_geometry(geom, **static_kwargs)
+    model = (IntersensoryModel.load(args.static_model) if args.static_model
+             else _pretrain_static(args, doc))
     metrics = run_ekf_experiment(model, seed=args.seed,
                                  **doc.get("ekf", {}))
-    os.makedirs(args.out, exist_ok=True)
     report = harness.RunReport("ekf-demo", args.seed, harness.config_hash(doc),
                                metrics, [])
-    report.save(os.path.join(args.out, "report.json"))
+    report.save(_out_path(args, "report.json"))
     print(report.to_json())
     if args.assert_metrics:
         return 0 if metrics["rmse_rad"] < 0.05 else 2
@@ -242,8 +244,9 @@ def main(argv=None):
     try:
         doc = load_config(args.config) if args.config else {"version": CONFIG_VERSION}
         return COMMANDS[args.command](args, doc)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, InitializationError, TrainingThresholdError,
+            ModelVersionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

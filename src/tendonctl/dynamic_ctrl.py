@@ -6,8 +6,8 @@ backpropagating a tracking + smoothness loss to the command inputs and
 taking normalized gradient steps, keeping the best sequence seen.
 """
 
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +44,7 @@ def adjacent_smoothness(u):
     return float(np.mean(d * d)) if d.size else 0.0
 
 
-def _adjacent_smoothness_grad(u):
-    d = np.diff(u)
-    g = np.zeros_like(u)
-    if d.size:
-        g[:-1] -= 2.0 * d / d.size
-        g[1:] += 2.0 * d / d.size
-    return g
-
-
-class DynamicsModel:
+class DynamicsModel(nets.JSONPersisted):
     """Task-state transition net over a fixed horizon (scalar command)."""
 
     def __init__(self, net, state_dim, horizon, u_limits):
@@ -67,21 +58,42 @@ class DynamicsModel:
         x = self.net.in_scaler.to_unit(np.concatenate([s0, u_seq]))
         return self.net.out_scaler.from_unit(self.net.forward(x))
 
-    def loss_and_grad(self, s0, u_seq, s_ref, alpha):
-        """Tracking + smoothness loss of Eq-style objective and dL/du."""
-        N = self.horizon
-        xn = self.net.in_scaler.to_unit(np.concatenate([s0, u_seq]))
-        yn = self.net.forward(xn)
-        y = self.net.out_scaler.from_unit(yn)
-        err = y - s_ref
-        loss = float(np.mean(err * err)) + alpha * adjacent_smoothness(u_seq)
+    def objective(self, s0, s_ref, alpha):
+        """``f(u) -> (loss, dL/du)`` of tracking + smoothness from state s0.
 
-        dL_dy = 2.0 * err / N
-        dL_dyn = dL_dy * self.net.out_scaler.from_unit_scale()
-        _, dxn = self.net.gradients(xn, dL_dyn)
-        du = dxn[self.state_dim:] * self.net.in_scaler.to_unit_scale()[self.state_dim:]
-        du = du + alpha * _adjacent_smoothness_grad(u_seq)
-        return loss, du
+        The scalers and the constant s0 columns are folded into a net of u
+        alone, once per call, so a changed net is never folded stale.
+        """
+        net, n_s, N = self.net, self.state_dim, self.horizon
+        in_s, out_s = net.in_scaler, net.out_scaler
+        weights, biases = list(net.weights), list(net.biases)
+        # the unit input is x * scale + to_unit(0): s0 and the offset are fixed
+        fixed = in_s.to_unit(np.concatenate([s0, np.zeros(N)]))
+        biases[0] = biases[0] + weights[0] @ fixed
+        weights[0] = weights[0][:, n_s:] * in_s.to_unit_scale()[n_s:]
+        out_scale = out_s.from_unit_scale()
+        weights[-1] = out_scale[:, None] * weights[-1]
+        biases[-1] = out_s.lo + (biases[-1] + 1.0) * out_scale
+        folded = MLPNetwork([N, *net.layer_sizes[1:]], weights, biases)
+
+        def f(u_seq):
+            y, pullback = folded.vjp(u_seq)
+            err = y - s_ref
+            _, du = pullback(err * (2.0 / N), weights=False)
+            loss = float(err @ err) / N
+            d = np.diff(u_seq)
+            if d.size:
+                loss += alpha * float(d @ d) / d.size
+                c = (2.0 * alpha / d.size) * d
+                du[:-1] -= c
+                du[1:] += c
+            return loss, du
+
+        return f
+
+    def loss_and_grad(self, s0, u_seq, s_ref, alpha):
+        """Tracking + smoothness loss at u_seq and dL/du."""
+        return self.objective(s0, s_ref, alpha)(u_seq)
 
     def to_dict(self):
         return {"version": nets.VERSION, "state_dim": self.state_dim,
@@ -90,17 +102,9 @@ class DynamicsModel:
 
     @classmethod
     def from_dict(cls, d):
+        nets.check_version(d)
         return cls(MLPNetwork.from_dict(d["net"]), d["state_dim"],
                    d["horizon"], tuple(d["u_limits"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def random_command_profile(duration_s, dt, u_limits, seed, hold_s=0.5,
@@ -207,21 +211,22 @@ def optimize_commands(model, s0, s_ref, u_init, cfg):
     ref = np.full(N, float(s_ref)) if np.isscalar(s_ref) or np.ndim(s_ref) == 0 \
         else np.asarray(s_ref, dtype=float)
 
+    objective = model.objective(s0, ref, cfg.alpha)
+    lo, hi = model.u_limits
     best_u = u.copy()
     best_loss = np.inf
-    losses = np.empty(cfg.iterations)
-    losses.fill(np.nan)
+    losses = np.full(cfg.iterations, np.nan)
     for it in range(cfg.iterations):
-        loss, g = model.loss_and_grad(s0, u, ref, cfg.alpha)
+        loss, g = objective(u)
         losses[it] = loss
         if loss < best_loss:
             best_loss = loss
             best_u = u.copy()
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g @ g)
         if norm < 1e-12:
             losses = losses[:it + 1]
             break
-        u = np.clip(u - cfg.beta * g / norm, *model.u_limits)
+        u = np.minimum(np.maximum(u - (cfg.beta / norm) * g, lo), hi)
     return best_u, best_loss, losses
 
 

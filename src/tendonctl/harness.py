@@ -9,13 +9,12 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamic_ctrl, plant as plant_mod, reflex, static_ctrl
-from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
-                           collect_rollout, mpc_control_step, train_dynamics)
+from .dynamic_ctrl import (OptimizerConfig, PIDController, collect_rollout,
+                           mpc_control_step, train_dynamics)
 from .plant import (CarConfig, CarState, Plant, car_step,
                     default_ankle_geometry, default_ankle_plant_config,
                     default_arm_geometry, default_arm_plant_config,
@@ -122,10 +121,6 @@ class PedalRig:
         l_dot = (self.state.l - self._l_prev) / self.ctrl_dt
         return np.concatenate(([self.car.v_car], self.state.theta,
                                self.state.theta_dot, self.state.l, l_dot))
-
-    @property
-    def extended_dim(self):
-        return 1 + 2 * self.plant.geom.n_joints + 2 * self.plant.geom.n_muscles
 
     def apply(self, u, brake=0.0):
         """One control tick: pedal-angle command u, optional brake pedal."""

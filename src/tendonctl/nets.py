@@ -6,7 +6,8 @@ respect to the weights *and* the inputs; input gradients are what the
 command optimizer and the EKF observation Jacobian need.
 """
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +16,29 @@ VERSION = 1
 
 class DimensionError(ValueError):
     """Raised on input/target dimension mismatch."""
+
+
+class ModelVersionError(ValueError):
+    """Raised when a persisted model carries an unsupported version."""
+
+
+def check_version(d):
+    """Reject a persisted model document written under another VERSION."""
+    if d.get("version") != VERSION:
+        raise ModelVersionError(f"unsupported model version {d.get('version')}")
+
+
+class JSONPersisted:
+    """JSON file ``save``/``load`` through the class's ``to_dict``/``from_dict``."""
+
+    def save(self, path):
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh)
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
 
 
 @dataclass
@@ -31,10 +55,6 @@ class FeatureScaler:
             raise DimensionError("scaler lo/hi shape mismatch")
         if np.any(self.hi <= self.lo):
             raise ValueError("scaler ranges must have hi > lo")
-
-    @property
-    def dim(self):
-        return self.lo.size
 
     def to_unit(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
@@ -116,56 +136,48 @@ class MLPNetwork:
                 f"input dimension {x.shape[-1]}, expected {self.layer_sizes[0]}")
         return x
 
-    def forward(self, x):
-        x = self._check_input(x)
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if i == self.n_layers - 1 else np.tanh(z)
+    def forward(self, x, acts=None):
+        """Output at x; a list ``acts`` receives x and each layer's activation."""
+        a = self._check_input(x)
+        acts = [] if acts is None else acts
+        acts.append(a)
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            a = np.tanh(a @ w.T + b)
+            acts.append(a)
+        a = a @ self.weights[-1].T + self.biases[-1]
+        acts.append(a)
         return a
 
-    def _forward_cached(self, x):
-        """Forward pass keeping post-activation values for backprop."""
-        acts = [x]
-        a = x
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w.T + b
-            a = z if i == self.n_layers - 1 else np.tanh(z)
-            acts.append(a)
-        return acts
+    def vjp(self, x):
+        """Output at x (one sample or a batch on the leading axis) and its
+        pullback ``(dL_dy, weights=True) -> (weight_grads or None, dL_dx)``;
+        weight_grads are (dW, db) per layer summed over the batch.  Without
+        weights, one sample's pullback takes a batch of cotangents too."""
+        acts = []
+        y = self.forward(x, acts)
+
+        def pullback(dL_dy, weights=True):
+            delta = np.asarray(dL_dy, dtype=float)
+            if delta.shape[-1] != self.layer_sizes[-1] or (
+                    weights and delta.shape != y.shape):
+                raise DimensionError("cotangent dimension mismatch")
+            grads = [None] * self.n_layers if weights else None
+            for i in range(self.n_layers - 1, -1, -1):
+                if weights:
+                    d2 = np.atleast_2d(delta)
+                    grads[i] = (d2.T @ np.atleast_2d(acts[i]), d2.sum(axis=0))
+                delta = delta @ self.weights[i]
+                if i > 0:
+                    delta = delta * (1.0 - acts[i] ** 2)
+            return grads, delta
+
+        return y, pullback
 
     def gradients(self, x, dL_dy):
-        """Backprop the cotangent dL_dy through the net at input x.
-
-        Returns (weight_grads, input_grad) where weight_grads is a list of
-        (dW, db) per layer and input_grad is dL/dx.  The network is not
-        mutated.
-        """
-        x = self._check_input(np.asarray(x, dtype=float))
-        dL_dy = np.asarray(dL_dy, dtype=float)
-        if dL_dy.shape != (self.layer_sizes[-1],):
-            raise DimensionError("cotangent dimension mismatch")
-        acts = self._forward_cached(x)
-        weight_grads = [None] * self.n_layers
-        delta = dL_dy  # d L / d z for the output (linear) layer
-        for i in range(self.n_layers - 1, -1, -1):
-            a_prev = acts[i]
-            weight_grads[i] = (np.outer(delta, a_prev), delta.copy())
-            delta = self.weights[i].T @ delta
-            if i > 0:
-                delta = delta * (1.0 - acts[i] ** 2)
-        return weight_grads, delta
-
-    def _batch_grads(self, X, dL_dY):
-        """Batched weight/bias gradients of sum_n <dL_dY[n], f(X[n])>."""
-        acts = self._forward_cached(X)
-        grads = [None] * self.n_layers
-        delta = dL_dY
-        for i in range(self.n_layers - 1, -1, -1):
-            grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
-            if i > 0:
-                delta = (delta @ self.weights[i]) * (1.0 - acts[i] ** 2)
-        return grads
+        """(weight_grads, dL/dx) at one input x: the validated one-sample vjp."""
+        if np.ndim(x) != 1 or np.shape(dL_dy) != (self.layer_sizes[-1],):
+            raise DimensionError("gradients takes one sample and its cotangent")
+        return self.vjp(x)[1](dL_dy)
 
     # -- serialization -----------------------------------------------------
 
@@ -187,8 +199,7 @@ class MLPNetwork:
 
     @classmethod
     def from_dict(cls, d):
-        if d.get("version") != VERSION:
-            raise ValueError(f"unsupported model version {d.get('version')}")
+        check_version(d)
         in_s = out_s = None
         if "input_range" in d:
             in_s = FeatureScaler(np.array(d["input_range"]["lo"]),
@@ -205,6 +216,13 @@ class MLPNetwork:
 def mse_loss(net, X, Y):
     pred = net.forward(X)
     return float(np.mean((pred - Y) ** 2))
+
+
+def sgd_step(net, weight_grads, lr):
+    """One in-place gradient step on every layer's weights and biases."""
+    for (w, b), (dw, db) in zip(zip(net.weights, net.biases), weight_grads):
+        w -= lr * dw
+        b -= lr * db
 
 
 def train(net, inputs, targets, cfg):
@@ -235,12 +253,9 @@ def train(net, inputs, targets, cfg):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb, yb = X[idx], Y[idx]
-            pred = net.forward(xb)
-            dL = 2.0 * (pred - yb) / (idx.size * out_dim)
-            grads = net._batch_grads(xb, dL)
-            for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
-                w -= cfg.learning_rate * dw
-                b -= cfg.learning_rate * db
+            pred, pullback = net.vjp(xb)
+            grads, _ = pullback(2.0 * (pred - yb) / (idx.size * out_dim))
+            sgd_step(net, grads, cfg.learning_rate)
         history[epoch] = mse_loss(net, X, Y)
     return history
 

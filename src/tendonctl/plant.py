@@ -7,7 +7,7 @@ the ground truth every learning module trains against.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -7,7 +7,7 @@ the safety reflex rate-limits an elongation response to tension or
 temperature overload.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

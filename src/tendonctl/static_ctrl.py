@@ -6,15 +6,13 @@ online from measured sensor triples, and estimates joint angles from
 muscle lengths/tensions with an EKF.
 """
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nets
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
-from .plant import elastic_elongation
 
 
 class InitializationError(RuntimeError):
@@ -30,7 +28,7 @@ class OnlineConfig:
     seed: int = 0
 
 
-class IntersensoryModel:
+class IntersensoryModel(nets.JSONPersisted):
     """h(theta, f) -> l with a replay buffer for online refinement."""
 
     def __init__(self, net, n_joints, n_muscles, online_cfg=None):
@@ -55,19 +53,14 @@ class IntersensoryModel:
         x = self.net.in_scaler.to_unit(self._pack(theta_ref, f_ref))
         return self.net.out_scaler.from_unit(self.net.forward(x))
 
-    predict = infer_command
-
     def length_jacobian_theta(self, theta, f):
         """d l / d theta at (theta, f), in physical units (for the EKF)."""
         x = self.net.in_scaler.to_unit(self._pack(theta, f))
         in_scale = self.net.in_scaler.to_unit_scale()[:self.n_joints]
         out_scale = self.net.out_scaler.from_unit_scale()
-        H = np.empty((self.n_muscles, self.n_joints))
-        eye = np.eye(self.n_muscles)
-        for i in range(self.n_muscles):
-            _, dx = self.net.gradients(x, eye[i])
-            H[i] = out_scale[i] * dx[:self.n_joints] * in_scale
-        return H
+        _, pullback = self.net.vjp(x)
+        _, dx = pullback(np.eye(self.n_muscles), weights=False)
+        return out_scale[:, None] * dx[:, :self.n_joints] * in_scale
 
     def online_update(self, theta_meas, f_meas, l_meas):
         """One replay-mixed SGD step on a measured (theta, f, l) triple."""
@@ -91,12 +84,9 @@ class IntersensoryModel:
         X = self.net.in_scaler.to_unit(np.array([b[0] for b in batch]))
         Y = self.net.out_scaler.to_unit(np.array([b[1] for b in batch]))
 
-        pred = self.net.forward(X)
-        dL = 2.0 * (pred - Y) / (len(batch) * self.n_muscles)
-        grads = self.net._batch_grads(X, dL)
-        for (w, b), (dw, db) in zip(zip(self.net.weights, self.net.biases), grads):
-            w -= cfg.learning_rate * dw
-            b -= cfg.learning_rate * db
+        pred, pullback = self.net.vjp(X)
+        grads, _ = pullback(2.0 * (pred - Y) / (len(batch) * self.n_muscles))
+        nets.sgd_step(self.net, grads, cfg.learning_rate)
 
     def prediction_error(self, theta, f, l_meas):
         return np.abs(self.infer_command(theta, f) - np.asarray(l_meas, float))
@@ -115,17 +105,9 @@ class IntersensoryModel:
 
     @classmethod
     def from_dict(cls, d):
+        nets.check_version(d)
         return cls(MLPNetwork.from_dict(d["net"]), d["n_joints"], d["n_muscles"],
                    OnlineConfig(**d["online"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def init_from_geometry(geom, grid_points=9, f_samples=16, f_max=120.0,

@@ -225,6 +225,56 @@ def test_loss_gradient_matches_finite_differences():
         assert abs(fd - g[i]) < 1e-4 * max(1.0, abs(fd))
 
 
+def _reference_loss_and_grad(model, s0, u_seq, s_ref, alpha):
+    """Unfused objective: scale, forward, backprop, unscale (the reference)."""
+    net, n_s, N = model.net, model.state_dim, model.horizon
+    xn = net.in_scaler.to_unit(np.concatenate([s0, u_seq]))
+    y = net.out_scaler.from_unit(net.forward(xn))
+    err = y - s_ref
+    d = np.diff(u_seq)
+    loss = float(np.mean(err * err)) + alpha * float(np.mean(d * d))
+    _, dxn = net.gradients(xn, 2.0 * err / N * net.out_scaler.from_unit_scale())
+    du = dxn[n_s:] * net.in_scaler.to_unit_scale()[n_s:]
+    g = np.zeros_like(u_seq)
+    g[:-1] -= 2.0 * d / d.size
+    g[1:] += 2.0 * d / d.size
+    return loss, du + alpha * g
+
+
+def random_dynamics_model(state_dim=3, N=6, seed=0):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-2.0, 0.0, size=state_dim + N)
+    net = MLPNetwork.seeded([state_dim + N, 9, 7, N], seed=seed,
+                            in_scaler=FeatureScaler(lo, lo + rng.uniform(1.0, 3.0, lo.size)),
+                            out_scaler=FeatureScaler(np.full(N, -4.0), np.full(N, 9.0)))
+    return DynamicsModel(net, state_dim, N, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("model", [random_dynamics_model(), identity_model(5)],
+                         ids=["mlp", "one_layer"])
+def test_objective_matches_unfused_reference(model):
+    rng = np.random.default_rng(3)
+    N = model.horizon
+    for alpha in (0.0, 0.1, 5.0):
+        s0 = rng.normal(size=model.state_dim)
+        ref = rng.uniform(-1.0, 3.0, size=N)
+        f = model.objective(s0, ref, alpha)
+        for _ in range(3):
+            u = rng.uniform(*model.u_limits, size=N)
+            loss, g = f(u)
+            ref_loss, ref_g = _reference_loss_and_grad(model, s0, u, ref, alpha)
+            assert loss == pytest.approx(ref_loss, rel=1e-10)
+            np.testing.assert_allclose(g, ref_g, rtol=1e-10, atol=1e-12)
+            assert model.loss_and_grad(s0, u, ref, alpha)[0] == loss
+
+
+def test_dynamics_from_dict_rejects_unknown_version():
+    d = identity_model(3).to_dict()
+    d["version"] = 99
+    with pytest.raises(ValueError, match="version"):
+        DynamicsModel.from_dict(d)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(beta=0.0)

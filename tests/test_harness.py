@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tendonctl import cli, harness
+from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
+from tendonctl.nets import MLPNetwork
 
 
 # -- metrics ---------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_cli_run_happy_path(tmp_path, static_model, capsys):
 def test_cli_compare_assert_exit_2(tmp_path, monkeypatch):
     fake = RunReport("cmp", 0, "h",
                      {"settle_time_learned_s": 9.0, "settle_time_pid_s": 1.0}, [])
-    monkeypatch.setattr(cli, "_ensure_dynamics", lambda args, doc: object())
+    monkeypatch.setattr(cli, "_ensure_dynamics", lambda args, doc, rig_factory: object())
     monkeypatch.setattr(cli, "_rig_factory", lambda args, doc: lambda: None)
     monkeypatch.setattr(cli, "compare_controllers", lambda *a, **k: fake)
     code = cli.main(["compare", "--assert", "--out", str(tmp_path)])
@@ -210,3 +212,86 @@ def test_cli_init_model_roundtrip(tmp_path):
     from tendonctl.static_ctrl import IntersensoryModel
     model = IntersensoryModel.load(out / "static_model.json")
     assert model.n_muscles == 2
+
+
+# -- CLI: one pre-training per run, errors end in exit 1 ------------------
+
+
+TINY_STATIC = {"grid_points": 3, "f_samples": 2, "hidden": [8],
+               "loss_threshold": 10.0,
+               "train": {"learning_rate": 0.1, "batch_size": 16, "epochs": 2}}
+
+
+def write_config(tmp_path, **sections):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, **sections}))
+    return str(cfg)
+
+
+def assert_one_line_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_pretrains_static_model_once(tmp_path, monkeypatch):
+    calls = []
+    real = harness.init_from_geometry
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "init_from_geometry", counting)
+    cfg = write_config(
+        tmp_path, static=TINY_STATIC,
+        scenario={"name": "tiny", "duration_s": 0.1, "controller": "learned"},
+        dynamics={"N": 3, "iterations": 2, "rollout_s": 1.0, "rms_threshold": 1e9,
+                  "train": {"learning_rate": 0.05, "batch_size": 16, "epochs": 1}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_initialization_error_exits_1(tmp_path, capsys):
+    static = dict(TINY_STATIC, loss_threshold=1e-12,
+                  train={"learning_rate": 0.1, "batch_size": 16, "epochs": 1})
+    cfg = write_config(tmp_path, static=static)
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert_one_line_error(code, capsys)
+
+
+def test_cli_training_threshold_error_exits_1(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "rollout.npz"
+    np.savez(data, S0=rng.normal(size=(40, 2)), U=rng.uniform(size=(40, 3)),
+             Y=rng.normal(size=(40, 3)), u_lo=0.0, u_hi=1.0)
+    cfg = write_config(tmp_path, dynamics={
+        "rms_threshold": 1e-12,
+        "train": {"learning_rate": 0.05, "batch_size": 16, "epochs": 1}})
+    code = cli.main(["train-dynamics", "--config", cfg, "--data", str(data),
+                     "--out", str(tmp_path / "out")])
+    assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--static-model", "/nonexistent/static.json"],
+    ["run", "--dynamics-model", "/nonexistent/dynamics.json"],
+    ["train-dynamics", "--data", "/nonexistent/rollout.npz"],
+], ids=["static-model", "dynamics-model", "data"])
+def test_cli_missing_model_or_data_file_exits_1(argv, tmp_path, capsys):
+    code = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert_one_line_error(code, capsys)
+
+
+@pytest.mark.parametrize("flag", ["--static-model", "--dynamics-model"])
+def test_cli_model_version_error_exits_1(flag, tmp_path, static_model, capsys):
+    if flag == "--static-model":
+        d = static_model.to_dict()
+    else:
+        d = DynamicsModel(MLPNetwork.seeded([3, 2], seed=0), 1, 2, (0.0, 1.0)).to_dict()
+    d["version"] = 99
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(d))
+    code = cli.main(["run", flag, str(path), "--out", str(tmp_path / "out")])
+    assert_one_line_error(code, capsys)

@@ -117,7 +117,129 @@ def test_gradients_do_not_mutate_network():
         assert np.array_equal(w, b)
 
 
+def _reference_single_grads(net, x, dL_dy):
+    """Single-sample backprop with explicit outer products (the reference)."""
+    acts = [x]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = w @ acts[-1] + b
+        acts.append(z if i == net.n_layers - 1 else np.tanh(z))
+    grads = [None] * net.n_layers
+    delta = dL_dy
+    for i in range(net.n_layers - 1, -1, -1):
+        grads[i] = (np.outer(delta, acts[i]), delta.copy())
+        delta = net.weights[i].T @ delta
+        if i > 0:
+            delta = delta * (1.0 - acts[i] ** 2)
+    return grads, delta
+
+
+def test_vjp_batch_matches_per_sample_loop():
+    net = MLPNetwork.seeded([3, 5, 4, 2], seed=21)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(7, 3))
+    C = rng.normal(size=(7, 2))
+    Y, pullback = net.vjp(X)
+    grads, dX = pullback(C)
+    assert np.array_equal(Y, net.forward(X))
+    ref_dX = np.empty_like(X)
+    ref_grads = [(np.zeros_like(w), np.zeros_like(b))
+                 for w, b in zip(net.weights, net.biases)]
+    for n in range(X.shape[0]):
+        g, ref_dX[n] = _reference_single_grads(net, X[n], C[n])
+        for (dw, db), (gw, gb) in zip(ref_grads, g):
+            dw += gw
+            db += gb
+    np.testing.assert_allclose(dX, ref_dX, rtol=1e-12, atol=0)
+    for (dw, db), (rw, rb) in zip(grads, ref_grads):
+        np.testing.assert_allclose(dw, rw, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(db, rb, rtol=1e-12, atol=1e-15)
+    # the input-only pullback gives the same input gradient and no weights
+    none, dX_only = pullback(C, weights=False)
+    assert none is None
+    assert np.array_equal(dX_only, dX)
+
+
+def test_vjp_single_sample_is_a_batch_of_one():
+    net = MLPNetwork.seeded([3, 5, 2], seed=8)
+    rng = np.random.default_rng(2)
+    x, c = rng.normal(size=3), rng.normal(size=2)
+    y, pullback = net.vjp(x)
+    grads, dx = pullback(c)
+    y1, pullback1 = net.vjp(x[None])
+    grads1, dx1 = pullback1(c[None])
+    assert y.shape == (2,) and dx.shape == (3,)
+    assert np.array_equal(y, y1[0])
+    assert np.array_equal(dx, dx1[0])
+    for (dw, db), (dw1, db1) in zip(grads, grads1):
+        assert np.array_equal(dw, dw1) and np.array_equal(db, db1)
+
+
+def test_input_pullback_takes_a_batch_of_cotangents_for_one_sample():
+    net = MLPNetwork.seeded([3, 6, 4], seed=3)
+    x = np.array([0.2, -0.5, 0.9])
+    C = np.random.default_rng(1).normal(size=(5, 4))
+    _, pullback = net.vjp(x)
+    _, J = pullback(C, weights=False)
+    assert J.shape == (5, 3)
+    for k in range(C.shape[0]):
+        _, ref = _reference_single_grads(net, x, C[k])
+        np.testing.assert_allclose(J[k], ref, rtol=1e-12, atol=0)
+    # weight gradients need one cotangent per sample
+    with pytest.raises(DimensionError):
+        pullback(C)
+    with pytest.raises(DimensionError):
+        pullback(np.ones(3), weights=False)
+
+
+def test_gradients_validates_single_sample():
+    net = MLPNetwork.seeded([3, 5, 2], seed=2)
+    with pytest.raises(DimensionError):
+        net.gradients(np.ones(3), np.ones(3))
+    with pytest.raises(DimensionError):
+        net.gradients(np.ones((4, 3)), np.ones(2))
+
+
 # -- training --------------------------------------------------------------
+
+
+def _reference_train(net, X, Y, cfg):
+    """Forward, batched weight gradients and SGD, one loop (the reference)."""
+    rng = np.random.default_rng(cfg.seed)
+    history = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            xb, yb = X[idx], Y[idx]
+            acts = [xb]
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                z = acts[-1] @ w.T + b
+                acts.append(z if i == net.n_layers - 1 else np.tanh(z))
+            delta = 2.0 * (acts[-1] - yb) / (idx.size * Y.shape[1])
+            grads = [None] * net.n_layers
+            for i in range(net.n_layers - 1, -1, -1):
+                grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+                if i > 0:
+                    delta = (delta @ net.weights[i]) * (1.0 - acts[i] ** 2)
+            for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
+                w -= cfg.learning_rate * dw
+                b -= cfg.learning_rate * db
+        history[epoch] = mse_loss(net, X, Y)
+    return history
+
+
+def test_train_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, size=(70, 3))
+    Y = np.stack([np.sin(X[:, 0]) * X[:, 1], X[:, 2] ** 2], axis=1)
+    cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=15, seed=4)
+    net = MLPNetwork.seeded([3, 8, 6, 2], seed=7)
+    ref = MLPNetwork.seeded([3, 8, 6, 2], seed=7)
+    history = train(net, X, Y, cfg)
+    ref_history = _reference_train(ref, X, Y, cfg)
+    assert np.array_equal(history, ref_history)
+    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+        assert np.array_equal(a, b)
 
 
 def test_exactly_fit_dataset_keeps_zero_loss():

@@ -5,7 +5,7 @@ import copy
 import numpy as np
 import pytest
 
-from tendonctl.nets import TrainConfig
+from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
 from tendonctl.plant import (Plant, default_ankle_geometry,
                              default_ankle_plant_config, elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
@@ -154,6 +154,13 @@ def test_model_round_trip(tmp_path, static_model):
     assert len(back.buffer) == 0   # replay buffer is transient
 
 
+def test_from_dict_rejects_unknown_version(static_model):
+    d = static_model.to_dict()
+    d["version"] = 99
+    with pytest.raises(ValueError, match="version"):
+        IntersensoryModel.from_dict(d)
+
+
 # -- EKF -------------------------------------------------------------------
 
 
@@ -204,3 +211,33 @@ def test_length_jacobian_matches_finite_differences(static_model):
     fd = (static_model.infer_command(theta + h, f)
           - static_model.infer_command(theta - h, f)) / (2 * h)
     assert np.max(np.abs(H[:, 0] - fd)) < 1e-4 * max(1.0, np.max(np.abs(fd)))
+
+
+def _reference_length_jacobian(model, theta, f):
+    """One input-gradient pass per muscle (the reference)."""
+    net, nj = model.net, model.n_joints
+    x = net.in_scaler.to_unit(np.concatenate([theta, f]))
+    in_scale = net.in_scaler.to_unit_scale()[:nj]
+    out_scale = net.out_scaler.from_unit_scale()
+    H = np.empty((model.n_muscles, nj))
+    for i, e in enumerate(np.eye(model.n_muscles)):
+        _, dx = net.gradients(x, e)
+        H[i] = out_scale[i] * dx[:nj] * in_scale
+    return H
+
+
+def test_length_jacobian_matches_per_muscle_loop(static_model):
+    rng = np.random.default_rng(4)
+    arm = IntersensoryModel(
+        MLPNetwork.seeded([8, 12, 6], seed=3,
+                          in_scaler=FeatureScaler(np.r_[-1.0, -1.5, np.zeros(6)],
+                                                  np.r_[1.0, 1.5, np.full(6, 120.0)]),
+                          out_scaler=FeatureScaler(np.full(6, 0.1), np.full(6, 0.4))),
+        n_joints=2, n_muscles=6)
+    for model in (static_model, arm):
+        for _ in range(5):
+            theta = rng.uniform(-0.5, 0.5, size=model.n_joints)
+            f = rng.uniform(0.0, 100.0, size=model.n_muscles)
+            np.testing.assert_allclose(model.length_jacobian_theta(theta, f),
+                                       _reference_length_jacobian(model, theta, f),
+                                       rtol=1e-12, atol=0)
