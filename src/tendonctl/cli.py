@@ -1,28 +1,45 @@
 """Command-line experiment runner.
 
-Subcommands build models, collect rollouts, train the dynamics net, and
-run the scripted scenarios.  Exit codes: 0 success, 1 config/usage, model
-or IO error (one line on stderr), 2 acceptance-metric failure under --assert.
+Subcommands build models, collect rollouts, train the dynamics net, run the
+scripted scenarios and the arm and ankle experiments.  Exit codes: 0 success,
+1 config/usage, model or IO error (one line on stderr), 2 acceptance-metric
+failure under --assert.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
 import numpy as np
 
-from . import harness
-from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, TrainingThresholdError,
-                           collect_rollout, train_dynamics)
+from . import harness, static_ctrl
+from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
+                           TrainingThresholdError, collect_rollout, train_dynamics)
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
-                      run_ekf_experiment, run_mrc_experiment, run_scenario,
-                      train_pedal_dynamics)
+                      run_scenario, train_pedal_dynamics)
 from .nets import ModelVersionError, TrainConfig
-from .plant import default_ankle_geometry, geometry_from_description
-from .static_ctrl import InitializationError, IntersensoryModel, init_from_geometry
+from .plant import CarConfig, default_ankle_geometry, geometry_from_description
+from .static_ctrl import InitializationError, IntersensoryModel
 
 CONFIG_VERSION = 1
+
+# The config schema.  Attribute of the read config: (section, what takes its
+# keys, the keys as "key" or "key:parameter", whether their numbers must be
+# positive).  A key left out takes its parameter's default; "train" holds a
+# TrainConfig.  Bound at import: a wrapped module attribute hides a signature.
+SCHEMA = {
+    "scenario": ("scenario", Scenario, "name duration_s v_ref events controller", False),
+    "static": ("static", static_ctrl.init_from_geometry,
+               "grid_points f_samples f_max hidden loss_threshold train:train_cfg", True),
+    "rollout": ("dynamics", train_pedal_dynamics, "N:horizon rollout_s:duration_s", True),
+    "train": ("dynamics", train_dynamics, "rms_threshold train:train_cfg", True),
+    "opt_cfg": ("dynamics", OptimizerConfig, "alpha beta iterations", False),
+    "pid_gains": ("pid", PIDController, "kp ki kd", False),
+    "ekf": ("ekf", harness.run_ekf_experiment,
+            "duration_s noise_m amp mean period f_bias q r burn_in_s", True),
+}
 
 
 class ConfigError(Exception):
@@ -30,45 +47,131 @@ class ConfigError(Exception):
 
 
 def load_config(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if doc.get("version") != CONFIG_VERSION:
-        raise ConfigError(f"{path}: unsupported config version {doc.get('version')}")
-    return doc
 
 
-def _components(doc):
-    geom = car_cfg = None
-    if "plant" in doc:
-        geom, car_cfg = geometry_from_description(doc["plant"])
-    static_kwargs = dict(doc.get("static", {}))
-    train_doc = static_kwargs.pop("train", None)
-    if train_doc:
-        static_kwargs["train_cfg"] = TrainConfig(**train_doc)
-    return geom, car_cfg, static_kwargs
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object, got {value!r}")
+    return dict(value)
 
 
-def _opt_cfg(doc):
-    d = doc.get("dynamics", {})
-    return OptimizerConfig(alpha=d.get("alpha", 0.1), beta=d.get("beta", 0.02),
-                           iterations=d.get("iterations", 30),
-                           horizon=d.get("N", 10))
+def _checked(path, value, kind, positive):
+    """``value`` if it is a JSON ``kind`` (a list for a tuple), else ConfigError."""
+    types = {float: (int, float), int: int, str: str, list: list, tuple: list}
+    ok = isinstance(value, types.get(kind, ())) and not isinstance(value, bool)
+    if ok and kind in (int, float):   # finite as a float: no NaN, inf or huge int
+        ok = abs(value) <= sys.float_info.max and (value > 0 or not positive)
+    if not ok:
+        raise ConfigError(f"{path}: expected {kind.__name__}{' > 0' * positive}, got {value!r}")
+    return value
 
 
-def _dyn_train_cfg(doc):
-    d = doc.get("dynamics", {}).get("train")
-    return TrainConfig(**d) if d else None
+def _take(section, path, target, keys, positive):
+    """Pop the keyword arguments ``keys`` of ``target`` from a config section,
+    each checked against the type of its parameter's annotation or default."""
+    params = inspect.signature(target).parameters
+    kwargs = {}
+    for name in keys.split():
+        key, _, param = name.partition(":")
+        p, at = params[param or key], f"{path}.{key}"
+        if key not in section:
+            if p.default is p.empty:
+                raise ConfigError(f"{at}: missing")
+            kwargs[p.name] = p.default
+        elif key == "train":
+            train = _object(section.pop(key), at)
+            kwargs[p.name] = _build(at, TrainConfig, _take(
+                train, at, TrainConfig, "learning_rate batch_size epochs", False))
+            _done(train, f"{at}.")
+        elif isinstance(p.default, tuple):
+            value = _checked(at, section.pop(key), tuple, False)
+            kwargs[p.name] = tuple(_checked(f"{at}[{i}]", v, type(p.default[0]), positive)
+                                   for i, v in enumerate(value))
+        else:
+            kind = type(p.default) if p.annotation is p.empty else p.annotation
+            kwargs[p.name] = _checked(at, section.pop(key), kind, positive)
+    return kwargs
 
 
-def _pretrain_static(args, doc):
-    geom, _, static_kwargs = _components(doc)
-    static_kwargs.setdefault("seed", args.seed)
-    return init_from_geometry(geom or default_ankle_geometry(), **static_kwargs)
+def _done(section, path):
+    if section:
+        raise ConfigError(f"{path}{sorted(section)[0]}: unknown key")
+
+
+def _build(path, cls, kwargs):
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def read_config(doc, seed=0):
+    """Check the whole document and read it by the SCHEMA, ``plant`` into
+    ``geom`` and ``car_cfg``.  Raises ConfigError."""
+    top = _object(doc, "config")
+    if top.pop("version", None) != CONFIG_VERSION:
+        raise ConfigError(f"version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
+    sections = {name: _object(top.pop(name), name)
+                for name, *_ in SCHEMA.values() if name in top}
+    cfg = argparse.Namespace(doc=doc, n_set="N" in sections.get("dynamics", {}),
+                             geom=default_ankle_geometry(), car_cfg=CarConfig())
+    if "plant" in top:
+        try:
+            cfg.geom, cfg.car_cfg = geometry_from_description(top.pop("plant"))
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"plant: {exc}") from exc
+    _done(top, "")
+    for attr, (name, target, keys, positive) in SCHEMA.items():
+        section = sections.get(name, {} if name != "pid" else None)
+        setattr(cfg, attr, section if section is None   # no pid: harness.DEFAULT_PID
+                else _take(section, name, target, keys, positive))
+    for name, section in sections.items():
+        _done(section, f"{name}.")
+    cfg.scenario = _build("scenario", Scenario, dict(cfg.scenario, seed=seed))
+    cfg.opt_cfg = _build("dynamics", OptimizerConfig,
+                         dict(cfg.opt_cfg, horizon=cfg.rollout["horizon"]))
+    return cfg
+
+
+# --------------------------------------------------------------------------
+# the stack: h, the pedal rigs and the dynamics model
+
+
+def _static_model(args, cfg):
+    """h from --static-model, else pre-trained on the config's body."""
+    if args.static_model:
+        return IntersensoryModel.load(args.static_model)
+    return static_ctrl.init_from_geometry(cfg.geom, seed=args.seed, **cfg.static)
+
+
+def _stack(args, cfg, learned=True):
+    """Pedal rigs sharing one h and, for the learned controller, the dynamics
+    model: --dynamics-model checked against the config and the rig, or trained."""
+    path = args.dynamics_model if learned else None
+    dyn = DynamicsModel.load(path) if path else None
+    if dyn and cfg.n_set and dyn.horizon != cfg.opt_cfg.horizon:
+        raise ConfigError(f"dynamics.N is {cfg.opt_cfg.horizon} but {path} has "
+                          f"horizon {dyn.horizon}")
+    model = _static_model(args, cfg)
+
+    def rig_factory():
+        return build_pedal_rig(static_model=model, car_cfg=cfg.car_cfg, geom=cfg.geom)
+
+    n = rig_factory().extended_state().size if dyn else None
+    if dyn and dyn.state_dim != n:
+        raise ConfigError(f"{path} has state_dim {dyn.state_dim} but the rig's state has {n}")
+    if learned and not dyn:
+        dyn = train_pedal_dynamics(rig_factory, seed=args.seed, **cfg.rollout, **cfg.train)
+    return rig_factory, dyn
+
+
+# --------------------------------------------------------------------------
+# commands
 
 
 def _out_path(args, name):
@@ -76,135 +179,93 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
-def cmd_init_model(args, doc):
-    model = _pretrain_static(args, doc)
+def _emit(args, report, name="report.json"):
+    report.save(_out_path(args, name))
+    print(report.to_json())
+
+
+def cmd_init_model(args, cfg):
     path = _out_path(args, "static_model.json")
-    model.save(path)
+    _static_model(args, cfg).save(path)
     print(f"wrote {path}")
     return 0
 
 
-def _rig_factory(args, doc):
-    """Pedal rigs sharing one static model, loaded or pre-trained by the first."""
-    geom, car_cfg, static_kwargs = _components(doc)
-    model = IntersensoryModel.load(args.static_model) if args.static_model else None
-    static_kwargs.setdefault("seed", args.seed)
-
-    def factory():
-        nonlocal model
-        rig = build_pedal_rig(seed=args.seed, static_model=model,
-                              car_cfg=car_cfg, geom=geom,
-                              static_kwargs=static_kwargs)
-        model = rig.model
-        return rig
-
-    return factory
-
-
-def cmd_collect(args, doc):
-    rig = _rig_factory(args, doc)()
-    cfg = _opt_cfg(doc)
-    duration = doc.get("dynamics", {}).get("rollout_s", 60.0)
-    S0, U, Y = collect_rollout(rig, duration, args.seed, cfg.horizon)
+def cmd_collect(args, cfg):
+    rig = _stack(args, cfg, learned=False)[0]()
+    S0, U, Y = collect_rollout(rig, cfg.rollout["duration_s"], args.seed,
+                               cfg.rollout["horizon"])
     path = _out_path(args, "rollout.npz")
     np.savez(path, S0=S0, U=U, Y=Y, u_lo=rig.u_limits[0], u_hi=rig.u_limits[1])
     print(f"wrote {path} ({S0.shape[0]} windows)")
     return 0
 
 
-def cmd_train_dynamics(args, doc):
+def cmd_train_dynamics(args, cfg):
     data = np.load(args.data)
     model = train_dynamics((data["S0"], data["U"], data["Y"]),
                            (float(data["u_lo"]), float(data["u_hi"])),
-                           train_cfg=_dyn_train_cfg(doc),
-                           rms_threshold=doc.get("dynamics", {}).get("rms_threshold", 0.3),
-                           seed=args.seed)
+                           seed=args.seed, **cfg.train)
     path = _out_path(args, "dynamics_model.json")
     model.save(path)
     print(f"wrote {path} (holdout RMS {model.holdout_rms:.3f} km/h)")
     return 0
 
 
-def _scenario(doc, args, controller):
-    s = doc.get("scenario", {})
-    return Scenario(name=s.get("name", "run"),
-                    duration_s=s.get("duration_s", 20.0),
-                    v_ref=s.get("v_ref", 5.0),
-                    events=[tuple(e) for e in s.get("events", [])],
-                    seed=args.seed, controller=controller)
-
-
-def _ensure_dynamics(args, doc, rig_factory):
-    if args.dynamics_model:
-        return DynamicsModel.load(args.dynamics_model)
-    d = doc.get("dynamics", {})
-    return train_pedal_dynamics(rig_factory,
-                                duration_s=d.get("rollout_s", 60.0),
-                                seed=args.seed, opt_cfg=_opt_cfg(doc),
-                                train_cfg=_dyn_train_cfg(doc),
-                                rms_threshold=d.get("rms_threshold", 0.3))
-
-
-def cmd_run(args, doc):
-    controller = doc.get("scenario", {}).get("controller", "learned")
-    scenario = _scenario(doc, args, controller)
-    rig_factory = _rig_factory(args, doc)
-    dyn = _ensure_dynamics(args, doc, rig_factory) if controller == "learned" else None
-    report = run_scenario(scenario, rig_factory(), dyn,
-                          opt_cfg=_opt_cfg(doc),
-                          pid_gains=doc.get("pid", harness.DEFAULT_PID),
-                          out_dir=args.out, cfg_doc=doc)
-    report.save(_out_path(args, "report.json"))
-    print(report.to_json())
+def cmd_run(args, cfg):
+    rig_factory, dyn = _stack(args, cfg, learned=cfg.scenario.controller == "learned")
+    _emit(args, run_scenario(cfg.scenario, rig_factory(), dyn,
+                             opt_cfg=cfg.opt_cfg, pid_gains=cfg.pid_gains,
+                             out_dir=args.out, cfg_doc=cfg.doc))
     return 0
 
 
-def cmd_compare(args, doc):
-    scenario = _scenario(doc, args, "learned")
-    rig_factory = _rig_factory(args, doc)
-    dyn = _ensure_dynamics(args, doc, rig_factory)
-    report = compare_controllers(scenario, rig_factory, dyn,
-                                 opt_cfg=_opt_cfg(doc),
-                                 pid_gains=doc.get("pid", harness.DEFAULT_PID),
+def cmd_compare(args, cfg):
+    rig_factory, dyn = _stack(args, cfg)
+    report = compare_controllers(cfg.scenario, rig_factory, dyn,
+                                 opt_cfg=cfg.opt_cfg, pid_gains=cfg.pid_gains,
                                  out_dir=args.out)
-    report.save(_out_path(args, "compare.json"))
-    print(report.to_json())
-    if args.assert_metrics:
-        learned = report.metrics["settle_time_learned_s"]
-        pid = report.metrics["settle_time_pid_s"]
-        if not (learned < pid):
-            print("ASSERT FAILED: learned controller did not beat PID", file=sys.stderr)
-            return 2
+    _emit(args, report, "compare.json")
+    m = report.metrics
+    if args.assert_metrics and not m["settle_time_learned_s"] < m["settle_time_pid_s"]:
+        print("ASSERT FAILED: learned controller did not beat PID", file=sys.stderr)
+        return 2
     return 0
 
 
-def cmd_relax_demo(args, doc):
-    log = _out_path(args, "relax_log.csv")
-    metrics = run_mrc_experiment(log_path=log)
-    baseline = run_mrc_experiment(use_mrc=False)
-    metrics["tension_norm_no_mrc_N"] = baseline["tension_norm_after_N"]
-    report = harness.RunReport("relax-demo", args.seed, harness.config_hash(doc),
-                               metrics, [log])
-    report.save(os.path.join(args.out, "report.json"))
-    print(report.to_json())
-    if args.assert_metrics:
-        ok = metrics["tension_norm_after_N"] < 0.6 * metrics["tension_norm_no_mrc_N"]
-        return 0 if ok else 2
-    return 0
+EXPERIMENTS = ("relax", "safety", "ekf", "online")
 
 
-def cmd_ekf_demo(args, doc):
-    model = (IntersensoryModel.load(args.static_model) if args.static_model
-             else _pretrain_static(args, doc))
-    metrics = run_ekf_experiment(model, seed=args.seed,
-                                 **doc.get("ekf", {}))
-    report = harness.RunReport("ekf-demo", args.seed, harness.config_hash(doc),
-                               metrics, [])
-    report.save(_out_path(args, "report.json"))
-    print(report.to_json())
-    if args.assert_metrics:
-        return 0 if metrics["rmse_rad"] < 0.05 else 2
-    return 0
+def cmd_experiment(args, cfg):
+    """One of EXPERIMENTS; --assert checks the limits of its acceptance
+    criterion in tests/test_acceptance.py."""
+    run, files = args.experiment, []
+    if run == "relax":      # MRC on a co-contracted arm, criterion 5
+        files.append(_out_path(args, "relax_log.csv"))
+        m = harness.run_mrc_experiment(log_path=files[0])
+        m["tension_norm_no_mrc_N"] = \
+            harness.run_mrc_experiment(use_mrc=False)["tension_norm_after_N"]
+        m["tension_norm_constrained_N"] = \
+            harness.run_mrc_experiment(constrained=True)["tension_norm_after_N"]
+        ok = (m["tension_norm_after_N"] / m["tension_norm_no_mrc_N"] < 0.60
+              and m["max_drift_rad"] <= 0.05
+              and m["tension_norm_constrained_N"] < m["tension_norm_after_N"])
+    elif run == "safety":   # ankle tension overload, criterion 6
+        m = harness.run_safety_experiment(use_reflex=True)
+        m["peak_tension_no_reflex_N"] = \
+            harness.run_safety_experiment(use_reflex=False)["peak_tension_N"]
+        ok = (m["max_dl_step_m"] <= 5e-4 + 1e-12
+              and m["peak_tension_N"] < m["peak_tension_no_reflex_N"])
+    elif run == "ekf":      # joint angle from noisy muscle lengths, criterion 7
+        m = harness.run_ekf_experiment(_static_model(args, cfg), seed=args.seed, **cfg.ekf)
+        ok = m["rmse_rad"] < 0.05
+    else:                   # online learning of a +5 mm length offset, criterion 4
+        m = harness.run_online_learning_experiment(_static_model(args, cfg))
+        ok = (m["pred_error_after_m"] / m["pred_error_before_m"] < 0.40
+              and m["peak_tension_after_N"] < m["peak_tension_before_N"]
+              and m["pred_error_after_m"] < 1e-3)
+    _emit(args, harness.RunReport(run, args.seed, harness.config_hash(cfg.doc), m, files))
+    return 2 if args.assert_metrics and not ok else 0
 
 
 COMMANDS = {
@@ -213,8 +274,7 @@ COMMANDS = {
     "train-dynamics": cmd_train_dynamics,
     "run": cmd_run,
     "compare": cmd_compare,
-    "relax-demo": cmd_relax_demo,
-    "ekf-demo": cmd_ekf_demo,
+    "experiment": cmd_experiment,
 }
 
 
@@ -232,6 +292,7 @@ def build_parser():
         sp.add_argument("--static-model", default=None)
         sp.add_argument("--dynamics-model", default=None)
     sub.choices["train-dynamics"].add_argument("--data", required=True)
+    sub.choices["experiment"].add_argument("experiment", choices=EXPERIMENTS)
     return p
 
 
@@ -243,7 +304,7 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         doc = load_config(args.config) if args.config else {"version": CONFIG_VERSION}
-        return COMMANDS[args.command](args, doc)
+        return COMMANDS[args.command](args, read_config(doc, args.seed))
     except (ConfigError, InitializationError, TrainingThresholdError,
             ModelVersionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

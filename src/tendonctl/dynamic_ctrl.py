@@ -28,11 +28,13 @@ class OptimizerConfig:
     alpha: float = 0.1       # smoothness weight
     beta: float = 0.02       # normalized-gradient step size [rad]
     iterations: int = 30
-    horizon: int = 10
+    horizon: int = 10        # of a model to train; a trained model runs on its own
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta <= 0:
             raise ValueError("alpha must be >= 0 and beta > 0")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
 
@@ -201,9 +203,10 @@ def optimize_commands(model, s0, s_ref, u_init, cfg):
 
     Each iteration: predict, score (tracking MSE + alpha * smoothness),
     backprop to the commands, step by beta along -g/|g|, clamp to the
-    actuator limits.  Returns the lowest-loss sequence seen.
+    actuator limits.  The sequence has the model's horizon.  Returns the
+    lowest-loss sequence seen.
     """
-    N = cfg.horizon
+    N = model.horizon
     u = np.clip(np.asarray(u_init, dtype=float).copy(), *model.u_limits)
     if u.shape != (N,):
         raise ValueError("u_init length must equal the horizon")
@@ -242,7 +245,7 @@ def mpc_control_step(model, s0, s_ref, warm_start, cfg):
     """One receding-horizon tick: optimize, pick head, shift for next tick."""
     if warm_start is None:
         mid = 0.5 * (model.u_limits[0] + model.u_limits[1])
-        warm_start = np.full(cfg.horizon, mid)
+        warm_start = np.full(model.horizon, mid)
     u_best, loss, _ = optimize_commands(model, s0, s_ref, warm_start, cfg)
     return u_best[0], shift_warm_start(u_best), loss
 

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,10 +21,13 @@ from .plant import (CarConfig, CarState, Plant, car_step,
                     elastic_elongation)
 from .reflex import (RelaxationConfig, RelaxationState, SafetyReflex,
                      TensionQP, mrc_step, safety_reflex_step, solve_tension_qp)
-from .static_ctrl import EKFEstimator, ekf_step, init_from_geometry
+# not called here: perfbench/tracing.py wraps harness.init_from_geometry
+from .static_ctrl import EKFEstimator, ekf_step, init_from_geometry  # noqa: F401
 
 CTRL_DT = 0.02
 PLANT_DT = 0.005
+# pedal MPC horizon in control ticks: 0.5 s out-spans the car's 0.3 s pedal delay
+PEDAL_HORIZON = 25
 
 BRAKE_EVENTS = {"person_detected", "horn_detected", "light_red"}
 RESUME_EVENTS = {"light_blue"}
@@ -33,20 +36,23 @@ EVENT_NAMES = BRAKE_EVENTS | RESUME_EVENTS
 
 @dataclass
 class Scenario:
-    name: str
-    duration_s: float
+    name: str = "run"
+    duration_s: float = 20.0
     v_ref: float = 5.0
     events: list = field(default_factory=list)   # [(time_s, event_name)]
     seed: int = 0
     controller: str = "learned"                  # "learned" or "pid"
 
     def __post_init__(self):
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("duration must be positive")
-        for t, name in self.events:
+        if self.controller not in ("learned", "pid"):
+            raise ValueError(f"unknown controller {self.controller!r}")
+        events = [(float(t), name) for t, name in self.events]
+        for _, name in events:
             if name not in EVENT_NAMES:
                 raise ValueError(f"unknown event {name!r}")
-        self.events = sorted(self.events, key=lambda e: e[0])
+        self.events = sorted(events, key=lambda e: e[0])
 
 
 @dataclass
@@ -131,30 +137,24 @@ class PedalRig:
             self.state = self.plant.step(self.state, l_ref, self.plant_dt)
             self.car = car_step(self.car, self.car_cfg,
                                 pedal=float(self.state.theta[0]),
-                                brake=brake, steer_joint=0.0, dt=self.plant_dt)
+                                brake=brake, dt=self.plant_dt)
         return self.state, self.car
 
 
-def build_pedal_rig(seed=0, static_model=None, car_cfg=None, geom=None,
-                    static_kwargs=None):
+def build_pedal_rig(static_model, car_cfg=None, geom=None):
+    """A pedal rig on ``geom`` (the default ankle) driven through ``static_model``."""
     geom = geom or default_ankle_geometry()
-    plant_cfg = default_ankle_plant_config(geom)
-    car_cfg = car_cfg or CarConfig()
-    if static_model is None:
-        kw = dict(grid_points=15, f_samples=12, f_max=120.0, seed=seed)
-        kw.update(static_kwargs or {})
-        static_model = init_from_geometry(geom, **kw)
-    return PedalRig(geom, plant_cfg, car_cfg, static_model)
+    return PedalRig(geom, default_ankle_plant_config(geom), car_cfg or CarConfig(),
+                    static_model)
 
 
-def train_pedal_dynamics(rig_factory, duration_s=60.0, seed=0,
-                         opt_cfg=None, train_cfg=None, rms_threshold=0.3):
-    """Collect a random-pedal rollout on a fresh rig and fit the dynamics net."""
-    cfg = opt_cfg or OptimizerConfig()
+def train_pedal_dynamics(rig_factory, horizon=PEDAL_HORIZON, duration_s=60.0,
+                         seed=0, **train_kw):
+    """Collect a random-pedal rollout on a fresh rig and fit the dynamics
+    net; ``train_kw`` go to train_dynamics."""
     rig = rig_factory()
-    dataset = collect_rollout(rig, duration_s, seed, cfg.horizon)
-    return train_dynamics(dataset, rig.u_limits, train_cfg=train_cfg,
-                          rms_threshold=rms_threshold, seed=seed)
+    dataset = collect_rollout(rig, duration_s, seed, horizon)
+    return train_dynamics(dataset, rig.u_limits, seed=seed, **train_kw)
 
 
 # --------------------------------------------------------------------------
@@ -164,11 +164,6 @@ def train_pedal_dynamics(rig_factory, duration_s=60.0, seed=0,
 DEFAULT_PID = {"kp": 0.010, "ki": 0.020, "kd": 0.0}
 
 
-def _make_pid(gains, u_limits):
-    return PIDController(kp=gains["kp"], ki=gains["ki"], kd=gains["kd"],
-                         out_lo=u_limits[0], out_hi=u_limits[1])
-
-
 def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
                  pid_gains=None, out_dir=None, cfg_doc=None):
     """Fixed-step scenario loop: events latch the brake, the controller
@@ -176,7 +171,8 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
     opt_cfg = opt_cfg or OptimizerConfig()
     if scenario.controller == "learned" and dynamics_model is None:
         raise ValueError("learned controller requires a dynamics model")
-    pid = _make_pid(pid_gains or DEFAULT_PID, rig.u_limits)
+    pid = PIDController(**(pid_gains or DEFAULT_PID), out_lo=rig.u_limits[0],
+                        out_hi=rig.u_limits[1])
 
     n_ticks = int(round(scenario.duration_s / rig.ctrl_dt))
     events = list(scenario.events)
@@ -230,16 +226,10 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
                 fh.write(",".join(format(x, ".9g") for x in row) + "\n")
         files.append(csv_path)
     report = RunReport(name=scenario.name, seed=scenario.seed,
-                       config_hash=config_hash(cfg_doc or asdict_scenario(scenario)),
+                       config_hash=config_hash(cfg_doc or asdict(scenario)),
                        metrics=metrics, files=files)
     report.trace = (t_arr, v_arr, np.array(brake_flags))
     return report
-
-
-def asdict_scenario(s):
-    return {"name": s.name, "duration_s": s.duration_s, "v_ref": s.v_ref,
-            "events": [[t, n] for t, n in s.events], "seed": s.seed,
-            "controller": s.controller}
 
 
 def compare_controllers(scenario, rig_factory, dynamics_model,
@@ -248,14 +238,12 @@ def compare_controllers(scenario, rig_factory, dynamics_model,
     metrics = {}
     files = []
     for ctrl in ("pid", "learned"):
-        s = Scenario(scenario.name, scenario.duration_s, scenario.v_ref,
-                     list(scenario.events), scenario.seed, controller=ctrl)
-        rep = run_scenario(s, rig_factory(), dynamics_model,
+        rep = run_scenario(replace(scenario, controller=ctrl), rig_factory(), dynamics_model,
                            opt_cfg=opt_cfg, pid_gains=pid_gains, out_dir=out_dir)
         metrics[f"settle_time_{ctrl}_s"] = rep.metrics["settle_time_s"]
         files.extend(rep.files)
     return RunReport(name=scenario.name, seed=scenario.seed,
-                     config_hash=config_hash(asdict_scenario(scenario)),
+                     config_hash=config_hash(asdict(scenario)),
                      metrics=metrics, files=files)
 
 

@@ -6,8 +6,7 @@ pedal angle -> velocity with an actuation transport delay).  This plant is
 the ground truth every learning module trains against.
 """
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ class JointSpec:
     parent: int                # parent link index (0 = base)
     origin: tuple              # mount point in the parent link frame [m]
     limits: tuple              # (lo, hi) [rad]
-    axis: str = "z"
 
 
 @dataclass
@@ -172,10 +170,6 @@ class PlantState:
     c: np.ndarray           # muscle temperatures [degC]
     t: float = 0.0          # simulation time [s]
 
-    def copy(self):
-        return PlantState(self.theta.copy(), self.theta_dot.copy(),
-                          self.l.copy(), self.f.copy(), self.c.copy(), self.t)
-
 
 class Plant:
     """Semi-implicit Euler muscle-joint plant.
@@ -257,15 +251,12 @@ class CarConfig:
     brake_dead: float = 0.05   # brake pedal dead zone [rad]
     delay_s: float = 0.3       # pedal actuation transport delay [s]
     creep_kmh: float = 2.0     # velocity with no pedal input [km/h]
-    steer_gain: float = 40.0   # wheel angle rate per steering joint angle [deg/s/rad]
 
 
 @dataclass
 class CarState:
+    pedal_buffer: np.ndarray          # transport delay ring buffer
     v_car: float = 0.0
-    pedal_angle: float = 0.0
-    wheel_angle: float = 0.0
-    pedal_buffer: np.ndarray = None   # transport delay ring buffer
     buf_idx: int = 0
 
     @classmethod
@@ -279,11 +270,9 @@ def car_drag(cfg, v):
     return cfg.drag_coeff * (v - cfg.creep_kmh)
 
 
-def car_step(car, cfg, pedal, brake, steer_joint, dt):
+def car_step(car, cfg, pedal, brake, dt):
     if not (0.0 < dt <= PLANT_DT_MAX):
         raise ValueError(f"dt must be in (0, {PLANT_DT_MAX}]")
-    if car.pedal_buffer is None:
-        car = replace(car, pedal_buffer=np.zeros(max(1, int(round(cfg.delay_s / dt)))))
     buf = car.pedal_buffer.copy()
     delayed = buf[car.buf_idx]
     buf[car.buf_idx] = pedal
@@ -293,71 +282,45 @@ def car_step(car, cfg, pedal, brake, steer_joint, dt):
              - cfg.b_max * max(0.0, brake - cfg.brake_dead)
              - car_drag(cfg, car.v_car))
     v = max(0.0, car.v_car + dt * accel)
-    wheel = car.wheel_angle + dt * cfg.steer_gain * steer_joint
-    return CarState(v_car=v, pedal_angle=pedal, wheel_angle=wheel,
-                    pedal_buffer=buf, buf_idx=idx)
+    return CarState(v_car=v, pedal_buffer=buf, buf_idx=idx)
 
 
 # --------------------------------------------------------------------------
-# description file IO and the default desk-scale body
-
-
-def geometry_to_description(geom, car_cfg):
-    return {
-        "version": DESCRIPTION_VERSION,
-        "joints": [{"name": j.name, "axis": j.axis, "parent": j.parent,
-                    "origin": list(j.origin), "limits": list(j.limits)}
-                   for j in geom.joints],
-        "muscles": [{"name": m.name,
-                     "attachments": [[link, list(pt)] for link, pt in m.attachments],
-                     "k2": m.k2, "slack": m.slack,
-                     "length_offset": m.length_offset}
-                    for m in geom.muscles],
-        "car": {"a_max": car_cfg.a_max, "drag_coeff": car_cfg.drag_coeff,
-                "dead_zone": car_cfg.dead_zone, "b_max": car_cfg.b_max,
-                "brake_dead": car_cfg.brake_dead, "delay_s": car_cfg.delay_s,
-                "creep_kmh": car_cfg.creep_kmh, "steer_gain": car_cfg.steer_gain},
-    }
+# body descriptions and the default desk-scale body
 
 
 def geometry_from_description(doc):
-    if doc.get("version") != DESCRIPTION_VERSION:
-        raise ValueError(f"unsupported plant description version {doc.get('version')}")
-    joints = [JointSpec(j["name"], j["parent"], tuple(j["origin"]),
-                        tuple(j["limits"]), j.get("axis", "z"))
-              for j in doc["joints"]]
-    muscles = [MuscleSpec(m["name"],
-                          [(a[0], tuple(a[1])) for a in m["attachments"]],
-                          k2=m.get("k2", 1e6), slack=m.get("slack", 0.0),
-                          length_offset=m.get("length_offset", 0.0))
-               for m in doc["muscles"]]
-    car = CarConfig(**doc.get("car", {}))
-    return MuscleGeometry(joints, muscles), car
+    """Geometry and car of a body description: its joints, muscles and car are
+    keyword arguments of JointSpec, MuscleSpec and CarConfig.  Raises
+    ValueError or TypeError on a bad document or a non-antagonistic body."""
+    doc = dict(doc)
+    if doc.pop("version", None) != DESCRIPTION_VERSION:
+        raise ValueError(f"unsupported plant description version; expected {DESCRIPTION_VERSION}")
+    try:
+        joints = [JointSpec(**j) for j in doc.pop("joints")]
+        muscles = [MuscleSpec(**m) for m in doc.pop("muscles")]
+    except KeyError as exc:
+        raise ValueError(f"missing section {exc}") from exc
+    car = CarConfig(**doc.pop("car", {}))
+    if doc:
+        raise ValueError(f"unknown key {sorted(doc)[0]!r}")
+    geom = MuscleGeometry(joints, muscles)
+    geom.validate_antagonism()
+    return geom, car
 
 
-def save_description(path, geom, car_cfg):
-    with open(path, "w") as fh:
-        json.dump(geometry_to_description(geom, car_cfg), fh, indent=2)
-
-
-def load_description(path):
-    with open(path) as fh:
-        return geometry_from_description(json.load(fh))
-
-
-def _antagonist_pair(name, parent, mount, radius, span, k2, offset=(0.0, 0.0)):
+def _antagonist_pair(name, parent, mount, radius, span, k2):
     """Two muscles wrapping a pin joint on opposite sides.
 
     Anchors sit on the parent link behind the joint, insertions on the child
     link ahead of it; moment arm at neutral is about +-radius.
     """
     mx, my = mount
-    ox, oy = offset
     flex = MuscleSpec(f"{name}_flex",
-                      [(parent, (mx - span + ox, my + radius + oy)),
+                      [(parent, (mx - span, my + radius)),
                        (parent + 1, (span, radius))], k2=k2)
     ext = MuscleSpec(f"{name}_ext",
-                     [(parent, (mx - span + ox, my - radius + oy)),
+                     [(parent, (mx - span, my - radius)),
                       (parent + 1, (span, -radius))], k2=k2)
     return [flex, ext]
 
@@ -410,20 +373,3 @@ def default_ankle_plant_config(geom):
                        spring_k=np.full(n, 1.0),
                        spring_theta0=np.zeros(n))
 
-
-def write_trajectory_csv(path, times, states, v_car=None):
-    """Trajectory log: t,theta_*,f_*,c_*,l_*,v_car."""
-    n_j = states[0].theta.size
-    n_m = states[0].l.size
-    cols = (["t"]
-            + [f"theta_{i}" for i in range(n_j)]
-            + [f"f_{i}" for i in range(n_m)]
-            + [f"c_{i}" for i in range(n_m)]
-            + [f"l_{i}" for i in range(n_m)]
-            + ["v_car"])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k, (t, s) in enumerate(zip(times, states)):
-            v = v_car[k] if v_car is not None else 0.0
-            row = np.concatenate(([t], s.theta, s.f, s.c, s.l, [v]))
-            fh.write(",".join(format(x, ".9g") for x in row) + "\n")

@@ -7,7 +7,7 @@ muscle lengths/tensions with an EKF.
 """
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,11 +97,7 @@ class IntersensoryModel(nets.JSONPersisted):
         # the replay buffer is transient and deliberately not persisted
         return {"version": nets.VERSION, "n_joints": self.n_joints,
                 "n_muscles": self.n_muscles, "net": self.net.to_dict(),
-                "online": {"buffer_capacity": self.online_cfg.buffer_capacity,
-                           "batch_size": self.online_cfg.batch_size,
-                           "learning_rate": self.online_cfg.learning_rate,
-                           "new_fraction": self.online_cfg.new_fraction,
-                           "seed": self.online_cfg.seed}}
+                "online": asdict(self.online_cfg)}
 
     @classmethod
     def from_dict(cls, d):
@@ -110,7 +106,7 @@ class IntersensoryModel(nets.JSONPersisted):
                    OnlineConfig(**d["online"]))
 
 
-def init_from_geometry(geom, grid_points=9, f_samples=16, f_max=120.0,
+def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
                        hidden=(64, 64), train_cfg=None, loss_threshold=1e-4,
                        online_cfg=None, seed=0):
     """Pre-train the model on the man-made geometric muscle model.
@@ -185,9 +181,6 @@ class EKFEstimator:
         m = n_muscles if n_muscles is not None else n
         return cls(theta_est=theta0.copy(), P=p0 * np.eye(n),
                    Q=q * np.eye(n), R=r * np.eye(m))
-
-    def to_dict(self):
-        return {"theta_est": self.theta_est.tolist(), "P": self.P.tolist()}
 
 
 def ekf_step(est, model, l_meas, f_meas, dt):

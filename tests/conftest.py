@@ -3,7 +3,7 @@
 import pytest
 
 from tendonctl.dynamic_ctrl import OptimizerConfig
-from tendonctl.harness import build_pedal_rig, train_pedal_dynamics
+from tendonctl.harness import PEDAL_HORIZON, build_pedal_rig, train_pedal_dynamics
 from tendonctl.plant import default_ankle_geometry, default_arm_geometry
 from tendonctl.static_ctrl import init_from_geometry
 
@@ -23,25 +23,25 @@ def static_model(ankle_geom):
     """Geometric pre-trained intersensory model for the ankle (read-only).
 
     Tests that mutate the model (online updates) must deepcopy it first.
+    It is the h that the CLI pre-trains at seed 0 without a static section.
     """
-    return init_from_geometry(ankle_geom, grid_points=15, f_samples=12, seed=0)
+    return init_from_geometry(ankle_geom, seed=0)
 
 
 @pytest.fixture(scope="session")
 def pedal_opt_cfg():
-    # horizon must cover the car's 0.3 s pedal transport delay (25 * 20 ms)
-    return OptimizerConfig(horizon=25)
+    return OptimizerConfig(horizon=PEDAL_HORIZON)
 
 
 @pytest.fixture(scope="session")
 def pedal_rig_factory(static_model):
     def factory(seed=0):
-        return build_pedal_rig(seed=seed, static_model=static_model)
+        # a rig holds no randomness: every seed gets the same fresh rig
+        return build_pedal_rig(static_model)
     return factory
 
 
 @pytest.fixture(scope="session")
-def pedal_dynamics(pedal_rig_factory, pedal_opt_cfg):
+def pedal_dynamics(pedal_rig_factory):
     """Seed-0 trained task-dynamics model for the pedal rig."""
-    return train_pedal_dynamics(lambda: pedal_rig_factory(0), seed=0,
-                                opt_cfg=pedal_opt_cfg)
+    return train_pedal_dynamics(pedal_rig_factory, seed=0)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from tendonctl import cli, harness
+from tendonctl import cli, harness, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
@@ -179,8 +179,7 @@ def test_cli_run_happy_path(tmp_path, static_model, capsys):
 def test_cli_compare_assert_exit_2(tmp_path, monkeypatch):
     fake = RunReport("cmp", 0, "h",
                      {"settle_time_learned_s": 9.0, "settle_time_pid_s": 1.0}, [])
-    monkeypatch.setattr(cli, "_ensure_dynamics", lambda args, doc, rig_factory: object())
-    monkeypatch.setattr(cli, "_rig_factory", lambda args, doc: lambda: None)
+    monkeypatch.setattr(cli, "_stack", lambda args, cfg: (lambda: None, object()))
     monkeypatch.setattr(cli, "compare_controllers", lambda *a, **k: fake)
     code = cli.main(["compare", "--assert", "--out", str(tmp_path)])
     assert code == 2
@@ -188,15 +187,18 @@ def test_cli_compare_assert_exit_2(tmp_path, monkeypatch):
     assert cli.main(["compare", "--assert", "--out", str(tmp_path)]) == 0
 
 
-def test_cli_ekf_demo(tmp_path, static_model):
+@pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
+def test_cli_experiment(name, tmp_path, static_model):
     model_path = tmp_path / "static.json"
     static_model.save(model_path)
-    out = tmp_path / "ekf"
-    code = cli.main(["ekf-demo", "--out", str(out), "--assert",
+    out = tmp_path / name
+    code = cli.main(["experiment", name, "--out", str(out), "--assert",
                      "--static-model", str(model_path)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["metrics"]["rmse_rad"] < 0.05
+    assert report["name"] == name
+    if name == "ekf":
+        assert report["metrics"]["rmse_rad"] < 0.05
 
 
 def test_cli_init_model_roundtrip(tmp_path):
@@ -237,13 +239,13 @@ def assert_one_line_error(code, capsys):
 
 def test_cli_run_pretrains_static_model_once(tmp_path, monkeypatch):
     calls = []
-    real = harness.init_from_geometry
+    real = static_ctrl.init_from_geometry
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "init_from_geometry", counting)
+    monkeypatch.setattr(static_ctrl, "init_from_geometry", counting)
     cfg = write_config(
         tmp_path, static=TINY_STATIC,
         scenario={"name": "tiny", "duration_s": 0.1, "controller": "learned"},

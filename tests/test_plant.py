@@ -1,4 +1,4 @@
-"""Plant simulator: geometry, elasticity, dynamics, car model, file IO."""
+"""Plant simulator: geometry, elasticity, dynamics, car model, descriptions."""
 
 import json
 import os
@@ -11,9 +11,7 @@ from tendonctl.plant import (CarConfig, CarState, ElasticElementParams,
                              car_step, default_ankle_geometry,
                              default_ankle_plant_config, default_arm_geometry,
                              default_arm_plant_config, elastic_elongation,
-                             elastic_tension, geometry_from_description,
-                             geometry_to_description, load_description,
-                             save_description, write_trajectory_csv)
+                             elastic_tension, geometry_from_description)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -203,7 +201,7 @@ def test_creep_equilibrium():
     cfg = CarConfig()
     car = CarState.at_creep(cfg, 0.005)
     for _ in range(1000):
-        car = car_step(car, cfg, pedal=0.05, brake=0.0, steer_joint=0.0, dt=0.005)
+        car = car_step(car, cfg, pedal=0.05, brake=0.0, dt=0.005)
     assert car.v_car == pytest.approx(cfg.creep_kmh, abs=1e-9)
 
 
@@ -215,7 +213,7 @@ def test_constant_pedal_fixed_point():
     assert v_star == pytest.approx(5.0)
     car = CarState.at_creep(cfg, 0.005)
     for _ in range(4000):
-        car = car_step(car, cfg, pedal=pedal, brake=0.0, steer_joint=0.0, dt=0.005)
+        car = car_step(car, cfg, pedal=pedal, brake=0.0, dt=0.005)
     assert car.v_car == pytest.approx(v_star, abs=1e-6)
 
 
@@ -224,9 +222,9 @@ def test_full_brake_reaches_and_holds_zero():
     car = CarState.at_creep(cfg, 0.005)
     car.v_car = 5.0
     for _ in range(2000):
-        car = car_step(car, cfg, pedal=0.0, brake=0.5, steer_joint=0.0, dt=0.005)
+        car = car_step(car, cfg, pedal=0.0, brake=0.5, dt=0.005)
     assert car.v_car == 0.0
-    car = car_step(car, cfg, pedal=0.0, brake=0.5, steer_joint=0.0, dt=0.005)
+    car = car_step(car, cfg, pedal=0.0, brake=0.5, dt=0.005)
     assert car.v_car == 0.0
 
 
@@ -237,46 +235,39 @@ def test_pedal_transport_delay():
     v0 = car.v_car
     n_delay = int(round(cfg.delay_s / dt))
     for k in range(n_delay + 2):
-        car = car_step(car, cfg, pedal=0.5, brake=0.0, steer_joint=0.0, dt=dt)
+        car = car_step(car, cfg, pedal=0.5, brake=0.0, dt=dt)
         if k < n_delay:
             assert car.v_car == pytest.approx(v0)   # step not yet through the delay
     assert car.v_car > v0
 
 
-# -- description IO and logs ----------------------------------------------
+# -- body descriptions -----------------------------------------------------
 
 
-def test_description_round_trip(tmp_path):
-    geom = default_arm_geometry()
-    car = CarConfig(a_max=25.0, delay_s=0.2)
-    path = tmp_path / "body.json"
-    save_description(path, geom, car)
-    geom2, car2 = load_description(path)
-    assert car2 == car
-    theta = np.array([0.3, -0.5])
-    assert np.array_equal(geom.muscle_lengths(theta), geom2.muscle_lengths(theta))
-    assert [m.name for m in geom.muscles] == [m.name for m in geom2.muscles]
+# default_ankle_geometry() written out by hand, with a non-default car
+with open(os.path.join(FIXTURES, "ankle_description.json")) as fh:
+    ANKLE_DESCRIPTION = json.load(fh)
+
+
+def test_description_matches_default_ankle():
+    geom, car = geometry_from_description(ANKLE_DESCRIPTION)
+    ref = default_ankle_geometry()
+    assert car == CarConfig(a_max=25.0, delay_s=0.2)
+    assert [m.name for m in geom.muscles] == [m.name for m in ref.muscles]
+    for theta in np.linspace(-0.2, 0.8, 11):
+        assert np.array_equal(geom.muscle_lengths([theta]), ref.muscle_lengths([theta]))
 
 
 def test_description_version_check():
-    doc = geometry_to_description(default_ankle_geometry(), CarConfig())
-    doc["version"] = 42
     with pytest.raises(ValueError):
-        geometry_from_description(doc)
+        geometry_from_description(dict(ANKLE_DESCRIPTION, version=42))
 
 
-def test_trajectory_csv_schema(tmp_path):
-    geom, p = make_ankle_plant()
-    state = p.initial_state()
-    states = [state]
-    times = [0.0]
-    for k in range(5):
-        state = p.step(state, state.l, 0.005)
-        states.append(state)
-        times.append(state.t)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, times, states, v_car=np.arange(6.0))
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,theta_0,f_0,f_1,c_0,c_1,l_0,l_1,v_car"
-    assert len(lines) == 7
-    assert float(lines[-1].split(",")[-1]) == 5.0
+@pytest.mark.parametrize("change", [
+    {"car": {"steer_gain": 40.0}},
+    {"gears": 5},
+    {"muscles": ANKLE_DESCRIPTION["muscles"][:1]},
+], ids=["removed-car-key", "unknown-key", "one-muscle-per-joint"])
+def test_description_rejects_bad_documents(change):
+    with pytest.raises((TypeError, ValueError)):
+        geometry_from_description(dict(ANKLE_DESCRIPTION, **change))
