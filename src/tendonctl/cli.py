@@ -20,7 +20,7 @@ from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_scenario, train_pedal_dynamics)
 from .nets import ModelVersionError, TrainConfig
-from .plant import CarConfig, default_ankle_geometry, geometry_from_description
+from .plant import CTRL_DT, CarConfig, default_ankle_geometry, geometry_from_description
 from .static_ctrl import InitializationError, IntersensoryModel
 
 CONFIG_VERSION = 1
@@ -118,8 +118,9 @@ def read_config(doc, seed=0):
         raise ConfigError(f"version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
     sections = {name: _object(top.pop(name), name)
                 for name, *_ in SCHEMA.values() if name in top}
+    ankle = default_ankle_geometry()   # also the EKF experiment's body
     cfg = argparse.Namespace(doc=doc, n_set="N" in sections.get("dynamics", {}),
-                             geom=default_ankle_geometry(), car_cfg=CarConfig())
+                             geom=ankle, car_cfg=CarConfig())
     if "plant" in top:
         try:
             cfg.geom, cfg.car_cfg = geometry_from_description(top.pop("plant"))
@@ -135,6 +136,13 @@ def read_config(doc, seed=0):
     cfg.scenario = _build("scenario", Scenario, dict(cfg.scenario, seed=seed))
     cfg.opt_cfg = _build("dynamics", OptimizerConfig,
                          dict(cfg.opt_cfg, horizon=cfg.rollout["horizon"]))
+    n, rollout_s = cfg.rollout["horizon"], cfg.rollout["duration_s"]
+    if int(round(rollout_s / CTRL_DT)) <= n:   # one window: none left to fit after hold-out
+        raise ConfigError(f"dynamics.rollout_s: {rollout_s} s is not longer than N = {n} ticks")
+    lo, hi = ankle.limits_lo[0], ankle.limits_hi[0]
+    mean, amp = cfg.ekf["mean"], cfg.ekf["amp"]
+    if not (lo <= mean - amp and mean + amp <= hi):
+        raise ConfigError(f"ekf: mean +/- amp leaves the ankle's limits [{lo}, {hi}] rad")
     return cfg
 
 
@@ -303,6 +311,8 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
         doc = load_config(args.config) if args.config else {"version": CONFIG_VERSION}
         return COMMANDS[args.command](args, read_config(doc, args.seed))
     except (ConfigError, InitializationError, TrainingThresholdError,

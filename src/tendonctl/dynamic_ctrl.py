@@ -13,6 +13,11 @@ import numpy as np
 
 from . import nets
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
+from .plant import CTRL_DT
+
+# exploration signal: a new random knot every HOLD_S, and every DWELL_EVERY
+# knots DWELL_KNOTS knots pinned to the low stop
+HOLD_S, DWELL_EVERY, DWELL_KNOTS = 0.5, 20, 5
 
 
 class TrainingThresholdError(RuntimeError):
@@ -109,36 +114,33 @@ class DynamicsModel(nets.JSONPersisted):
                    d["horizon"], tuple(d["u_limits"]))
 
 
-def random_command_profile(duration_s, dt, u_limits, seed, hold_s=0.5,
-                           dwell_every=20, dwell_knots=5):
-    """Band-limited exploration signal: new target every hold_s, linear ramps.
+def random_command_profile(duration_s, u_limits, seed):
+    """Band-limited exploration signal, one command per control tick: a new
+    target every HOLD_S with linear ramps between them.
 
-    Every ``dwell_every`` knots the signal is pinned to the low stop for
-    ``dwell_knots`` knots, so each rollout contains launches from standstill
+    The low-stop dwells put launches from standstill into each rollout
     (otherwise the random walk almost never revisits the low-speed regime).
     """
     rng = np.random.default_rng(seed)
-    steps = int(round(duration_s / dt))
-    hold = max(1, int(round(hold_s / dt)))
+    steps = int(round(duration_s / CTRL_DT))
+    hold = max(1, int(round(HOLD_S / CTRL_DT)))
     n_knots = steps // hold + 2
     knots = rng.uniform(u_limits[0], u_limits[1], size=n_knots)
-    if dwell_every:
-        for k in range(0, n_knots, dwell_every):
-            knots[k:k + dwell_knots] = u_limits[0]
+    for k in range(0, n_knots, DWELL_EVERY):
+        knots[k:k + DWELL_KNOTS] = u_limits[0]
     t_knots = np.arange(n_knots) * hold
     return np.interp(np.arange(steps), t_knots, knots)
 
 
-def collect_rollout(rig, duration_s, seed, horizon, hold_s=0.5):
+def collect_rollout(rig, duration_s, seed, horizon):
     """Drive the rig with a seeded random pedal signal and slice windows.
 
     Returns (S0, U, Y): initial extended states, command windows of length
     ``horizon``, and the observed task-state sequences that followed.
     """
-    dt = rig.ctrl_dt
-    if duration_s < horizon * dt:
+    if duration_s < horizon * CTRL_DT:
         raise ValueError("duration too short for the horizon")
-    u = random_command_profile(duration_s, dt, rig.u_limits, seed, hold_s)
+    u = random_command_profile(duration_s, rig.u_limits, seed)
     steps = u.size
 
     states = [rig.extended_state()]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamic_ctrl import (OptimizerConfig, PIDController, collect_rollout,
                            mpc_control_step, train_dynamics)
-from .plant import (CarConfig, CarState, Plant, car_step,
+from .plant import (CTRL_DT, CarConfig, CarState, Plant, car_step,
                     default_ankle_geometry, default_ankle_plant_config,
                     default_arm_geometry, default_arm_plant_config,
                     elastic_elongation)
@@ -24,10 +24,10 @@ from .reflex import (RelaxationConfig, RelaxationState, SafetyReflex,
 # not called here: perfbench/tracing.py wraps harness.init_from_geometry
 from .static_ctrl import EKFEstimator, ekf_step, init_from_geometry  # noqa: F401
 
-CTRL_DT = 0.02
-PLANT_DT = 0.005
 # pedal MPC horizon in control ticks: 0.5 s out-spans the car's 0.3 s pedal delay
 PEDAL_HORIZON = 25
+
+F_BIAS = 20.0   # co-contraction tension of the ankle's length commands [N]
 
 BRAKE_EVENTS = {"person_detected", "horn_detected", "light_red"}
 RESUME_EVENTS = {"light_blue"}
@@ -44,8 +44,8 @@ class Scenario:
     controller: str = "learned"                  # "learned" or "pid"
 
     def __post_init__(self):
-        if not self.duration_s > 0:
-            raise ValueError("duration must be positive")
+        if not round(self.duration_s / CTRL_DT) >= 1:
+            raise ValueError(f"duration must span at least one {CTRL_DT} s control tick")
         if self.controller not in ("learned", "pid"):
             raise ValueError(f"unknown controller {self.controller!r}")
         events = [(float(t), name) for t, name in self.events]
@@ -105,26 +105,22 @@ class PedalRig:
     accelerator (with the car's own transport delay).
     """
 
-    def __init__(self, geom, plant_cfg, car_cfg, static_model,
-                 f_bias=20.0, u_limits=(0.0, 0.6),
-                 ctrl_dt=CTRL_DT, plant_dt=PLANT_DT):
+    u_limits = (0.0, 0.6)   # pedal-angle command range [rad]
+
+    def __init__(self, geom, plant_cfg, car_cfg, static_model):
         self.plant = Plant(geom, plant_cfg)
         self.car_cfg = car_cfg
         self.model = static_model
-        self.f_bias = np.full(geom.n_muscles, float(f_bias))
-        self.u_limits = u_limits
-        self.ctrl_dt = ctrl_dt
-        self.plant_dt = plant_dt
-        self.substeps = int(round(ctrl_dt / plant_dt))
+        self.f_bias = np.full(geom.n_muscles, F_BIAS)
         self.state = self.plant.initial_state()
-        self.car = CarState.at_creep(car_cfg, plant_dt)
-        self._l_prev = self.state.l.copy()
+        self.car = CarState.at_creep(car_cfg)
+        self._l_prev = self.state.l
 
     def task_state(self):
         return self.car.v_car
 
     def extended_state(self):
-        l_dot = (self.state.l - self._l_prev) / self.ctrl_dt
+        l_dot = (self.state.l - self._l_prev) / CTRL_DT
         return np.concatenate(([self.car.v_car], self.state.theta,
                                self.state.theta_dot, self.state.l, l_dot))
 
@@ -132,12 +128,9 @@ class PedalRig:
         """One control tick: pedal-angle command u, optional brake pedal."""
         u = min(max(float(u), self.u_limits[0]), self.u_limits[1])
         l_ref = self.model.infer_command(np.array([u]), self.f_bias)
-        self._l_prev = self.state.l.copy()
-        for _ in range(self.substeps):
-            self.state = self.plant.step(self.state, l_ref, self.plant_dt)
-            self.car = car_step(self.car, self.car_cfg,
-                                pedal=float(self.state.theta[0]),
-                                brake=brake, dt=self.plant_dt)
+        self._l_prev = self.state.l
+        self.state, thetas = self.plant.step(self.state, l_ref)
+        self.car = car_step(self.car, self.car_cfg, thetas[:, 0], brake)
         return self.state, self.car
 
 
@@ -164,6 +157,14 @@ def train_pedal_dynamics(rig_factory, horizon=PEDAL_HORIZON, duration_s=60.0,
 DEFAULT_PID = {"kp": 0.010, "ki": 0.020, "kd": 0.0}
 
 
+def write_csv(path, header, rows):
+    """``header``, then one line per row of numbers, each as %.9g."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(x, ".9g") for x in row) + "\n")
+
+
 def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
                  pid_gains=None, out_dir=None, cfg_doc=None):
     """Fixed-step scenario loop: events latch the brake, the controller
@@ -174,14 +175,13 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
     pid = PIDController(**(pid_gains or DEFAULT_PID), out_lo=rig.u_limits[0],
                         out_hi=rig.u_limits[1])
 
-    n_ticks = int(round(scenario.duration_s / rig.ctrl_dt))
+    n_ticks = int(round(scenario.duration_s / CTRL_DT))
     events = list(scenario.events)
     brake_on = False
     warm = None
-    rows = []
-    t_vals, v_vals, brake_flags = [], [], []
+    rows = []   # per tick: the six CSV columns, the brake flag, the peak tension
     for k in range(n_ticks):
-        t = k * rig.ctrl_dt
+        t = k * CTRL_DT
         while events and events[0][0] <= t + 1e-9:
             _, name = events.pop(0)
             if name in BRAKE_EVENTS:
@@ -200,43 +200,37 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
                     dynamics_model, rig.extended_state(), scenario.v_ref,
                     warm, opt_cfg)
             else:
-                u_cmd = pid.step(scenario.v_ref - rig.task_state(), rig.ctrl_dt)
+                u_cmd = pid.step(scenario.v_ref - rig.task_state(), CTRL_DT)
         rig.apply(u_cmd, brake=brake_cmd)
-        t_vals.append(t + rig.ctrl_dt)
-        v_vals.append(rig.task_state())
-        brake_flags.append(brake_on)
-        rows.append((t + rig.ctrl_dt, rig.task_state(), scenario.v_ref,
-                     u_cmd, float(rig.state.theta[0]), loss))
+        rows.append((t + CTRL_DT, rig.task_state(), scenario.v_ref, u_cmd,
+                     rig.state.theta[0], loss, brake_on, rig.state.f.max()))
 
-    t_arr = np.array(t_vals)
-    v_arr = np.array(v_vals)
+    table = np.array(rows)
+    t_arr, v_arr = table[:, 0], table[:, 1]
     metrics = {
         "settle_time_s": settle_time(t_arr, v_arr, scenario.v_ref),
         "final_v_kmh": float(v_arr[-1]),
         "max_v_kmh": float(v_arr.max()),
-        "peak_tension_N": float(rig.state.f.max()),
+        "peak_tension_N": float(table[:, 7].max()),   # over tick ends
     }
     files = []
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         csv_path = os.path.join(out_dir, f"{scenario.name}_{scenario.controller}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("t,v_car,v_ref,theta_ankle_cmd,theta_ankle_actual,loss\n")
-            for row in rows:
-                fh.write(",".join(format(x, ".9g") for x in row) + "\n")
+        write_csv(csv_path, "t,v_car,v_ref,theta_ankle_cmd,theta_ankle_actual,loss",
+                  table[:, :6])
         files.append(csv_path)
     report = RunReport(name=scenario.name, seed=scenario.seed,
                        config_hash=config_hash(cfg_doc or asdict(scenario)),
                        metrics=metrics, files=files)
-    report.trace = (t_arr, v_arr, np.array(brake_flags))
+    report.trace = (t_arr, v_arr, table[:, 6] > 0)
     return report
 
 
 def compare_controllers(scenario, rig_factory, dynamics_model,
                         opt_cfg=None, pid_gains=None, out_dir=None):
     """Run learned and PID controllers on identical plants; report both."""
-    metrics = {}
-    files = []
+    metrics, files = {}, []
     for ctrl in ("pid", "learned"):
         rep = run_scenario(replace(scenario, controller=ctrl), rig_factory(), dynamics_model,
                            opt_cfg=opt_cfg, pid_gains=pid_gains, out_dir=out_dir)
@@ -258,9 +252,11 @@ def _geometric_commands(geom, theta_ref, f_ref):
     return geom.muscle_lengths(theta_ref) - elong
 
 
+MRC_SETTLE_S = 2.0   # co-contracted hold before relaxation starts [s]
+
+
 def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
-                       constrained=False, mrc_cfg=None, settle_s=2.0,
-                       use_mrc=True, log_path=None):
+                       constrained=False, use_mrc=True, log_path=None):
     """Hold an arm pose with heavy co-contraction, then let MRC unwind it.
 
     Returns metrics: tension L2 norm before/after, max joint drift.
@@ -271,17 +267,15 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
     f_ref = np.full(geom.n_muscles, float(f_bias))
     l_base = _geometric_commands(geom, theta_hold, f_ref)
     state = p.initial_state(theta_hold)
-    substeps = int(round(CTRL_DT / PLANT_DT))
 
     # settle into the co-contracted hold
-    for _ in range(int(settle_s / CTRL_DT)):
-        for _ in range(substeps):
-            state = p.step(state, l_base, PLANT_DT)
+    for _ in range(int(MRC_SETTLE_S / CTRL_DT)):
+        state = p.step(state, l_base)[0]
     norm_before = float(np.linalg.norm(state.f))
 
     if constrained:
         p.constrained[:] = True
-    cfg = mrc_cfg or RelaxationConfig()
+    cfg = RelaxationConfig()
     mrc = RelaxationState.create(geom.n_muscles)
     mrc.mode = "static" if use_mrc else "moving"
     log_rows = []
@@ -297,17 +291,12 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
                                     constrained=p.constrained)
         else:
             offsets = np.zeros(geom.n_muscles)
-        for _ in range(substeps):
-            state = p.step(state, l_base + offsets, PLANT_DT)
+        state = p.step(state, l_base + offsets)[0]
         if log_path:
-            for m in range(geom.n_muscles):
-                log_rows.append((state.t, m, offsets[m], 0.0,
-                                 state.f[m], state.c[m]))
+            log_rows += [(state.t, m, offsets[m], 0.0, state.f[m], state.c[m])
+                         for m in range(geom.n_muscles)]
     if log_path:
-        with open(log_path, "w") as fh:
-            fh.write("t,muscle,dl_relax,dl_safe,f,c\n")
-            for row in log_rows:
-                fh.write(",".join(format(x, ".9g") for x in row) + "\n")
+        write_csv(log_path, "t,muscle,dl_relax,dl_safe,f,c", log_rows)
 
     return {"tension_norm_before_N": norm_before,
             "tension_norm_after_N": float(np.linalg.norm(state.f)),
@@ -315,20 +304,17 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
             "constrained": constrained}
 
 
-def run_safety_experiment(duration_s=3.0, overload_factor=2.0, use_reflex=True,
-                          reflex_cfg=None):
+def run_safety_experiment(duration_s=3.0, overload_factor=2.0, use_reflex=True):
     """Command a shortening that drives tension to overload_factor * f_lim."""
     geom = default_ankle_geometry()
     p = Plant(geom, default_ankle_plant_config(geom))
     p.constrained[:] = True  # isolate the tension response
     state = p.initial_state()
-    sr = reflex_cfg or SafetyReflex.create(geom.n_muscles)
+    sr = SafetyReflex.create(geom.n_muscles)
     stretch = np.sqrt(overload_factor * sr.f_lim / geom.muscles[0].k2)
     l_cmd = state.l - stretch
 
-    substeps = int(round(CTRL_DT / PLANT_DT))
-    peak = 0.0
-    max_step = 0.0
+    peak = max_step = 0.0
     prev_dl = sr.dl_safe.copy()
     for _ in range(int(duration_s / CTRL_DT)):
         if use_reflex:
@@ -337,15 +323,16 @@ def run_safety_experiment(duration_s=3.0, overload_factor=2.0, use_reflex=True,
             prev_dl = dl
         else:
             dl = np.zeros(geom.n_muscles)
-        for _ in range(substeps):
-            state = p.step(state, l_cmd + dl, PLANT_DT)
+        state = p.step(state, l_cmd + dl)[0]
         peak = max(peak, float(state.f.max()))
     return {"peak_tension_N": peak, "max_dl_step_m": max_step,
             "final_dl_safe_m": float(sr.dl_safe.max()) if use_reflex else 0.0}
 
 
-def run_online_learning_experiment(model, offset_m=0.005, n_updates=500,
-                                   f_bias=20.0, probe_amp=0.3, probe_period=4.0):
+PROBE_AMP, PROBE_PERIOD = 0.3, 4.0   # online-learning probe sinusoid [rad], [s]
+
+
+def run_online_learning_experiment(model, offset_m=0.005, n_updates=500):
     """Inject a systematic length offset into the plant and learn it away.
 
     The intersensory model (trained on nominal geometry) commands a probe
@@ -354,20 +341,18 @@ def run_online_learning_experiment(model, offset_m=0.005, n_updates=500,
     """
     geom_true = default_ankle_geometry(length_offsets=(offset_m, 0.0))
     plant_cfg = default_ankle_plant_config(geom_true)
-    f_ref = np.full(geom_true.n_muscles, float(f_bias))
+    f_ref = np.full(geom_true.n_muscles, F_BIAS)
 
     def probe(update):
         p = Plant(geom_true, plant_cfg)
         state = p.initial_state()
-        substeps = int(round(CTRL_DT / PLANT_DT))
-        n_ticks = int(round(n_updates)) if update else int(probe_period / CTRL_DT) * 2
+        n_ticks = int(round(n_updates)) if update else int(PROBE_PERIOD / CTRL_DT) * 2
         errs, peak = [], 0.0
         for k in range(n_ticks):
             t = k * CTRL_DT
-            theta_ref = np.array([probe_amp * np.sin(2 * np.pi * t / probe_period)])
+            theta_ref = np.array([PROBE_AMP * np.sin(2 * np.pi * t / PROBE_PERIOD)])
             l_ref = model.infer_command(theta_ref, f_ref)
-            for _ in range(substeps):
-                state = p.step(state, l_ref, PLANT_DT)
+            state = p.step(state, l_ref)[0]
             errs.append(model.prediction_error(state.theta, state.f, state.l))
             peak = max(peak, float(state.f.max()))
             if update:
@@ -387,23 +372,16 @@ def run_ekf_experiment(model, duration_s=10.0, noise_m=5e-4, amp=0.4,
     """Track a sinusoidal joint trajectory from noisy muscle lengths."""
     geom = default_ankle_geometry()
     f_ref = np.full(geom.n_muscles, float(f_bias))
-    elong = np.array([elastic_elongation(p, fi)
-                      for p, fi in zip(geom.elastic_params(), f_ref)])
     rng = np.random.default_rng(seed)
     est = EKFEstimator.create(np.full(geom.n_joints, float(mean)), q=q, r=r,
                               n_muscles=geom.n_muscles)
-    errors, times = [], []
-    n_ticks = int(round(duration_s / CTRL_DT))
-    for k in range(n_ticks):
-        t = k * CTRL_DT
+    times = np.arange(int(round(duration_s / CTRL_DT))) * CTRL_DT
+    errors = []
+    for t in times:
         theta_true = np.array([mean + amp * np.sin(2 * np.pi * t / period)])
-        l_meas = (geom.muscle_lengths(theta_true) - elong
+        l_meas = (_geometric_commands(geom, theta_true, f_ref)
                   + rng.normal(0.0, noise_m, size=geom.n_muscles))
         est = ekf_step(est, model, l_meas, f_ref, CTRL_DT)
-        times.append(t)
         errors.append(est.theta_est - theta_true)
-    times = np.array(times)
-    errors = np.array(errors)
-    mask = times >= burn_in_s
-    rmse = float(np.sqrt(np.mean(errors[mask] ** 2)))
+    rmse = float(np.sqrt(np.mean(np.array(errors)[times >= burn_in_s] ** 2)))
     return {"rmse_rad": rmse, "final_P_trace": float(np.trace(est.P))}

@@ -10,7 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PLANT_DT_MAX = 0.02
+# One control tick per Plant.step and car_step, in fixed steps: semi-implicit
+# Euler is stable only while omega * dt < 2, which the muscles break at 20 ms.
+CTRL_DT = 0.02       # control tick [s]
+PLANT_DT = 0.005     # integration step [s]
+STEPS_PER_TICK = 4
+FD_STEP = 1e-6       # central-difference step of MuscleGeometry.jacobian [rad]
 DESCRIPTION_VERSION = 1
 
 
@@ -114,14 +119,14 @@ class MuscleGeometry:
             lengths[m] = np.sum(np.hypot(segs[:, 0], segs[:, 1])) + spec.length_offset
         return lengths
 
-    def jacobian(self, theta, h=1e-6):
+    def jacobian(self, theta):
         """d(muscle length)/d(joint angle), central finite differences."""
         theta = self._check_theta(theta)
         G = np.empty((self.n_muscles, self.n_joints))
         for j in range(self.n_joints):
             tp, tm = theta.copy(), theta.copy()
-            tp[j] += h
-            tm[j] -= h
+            tp[j] += FD_STEP
+            tm[j] -= FD_STEP
             # keep perturbed poses inside the declared limits
             tp[j] = min(tp[j], self.limits_hi[j])
             tm[j] = max(tm[j], self.limits_lo[j])
@@ -207,35 +212,37 @@ class Plant:
         s = np.maximum(0.0, stretch - self._slack)
         return self._k2 * s * s
 
-    def step(self, state, l_ref, dt):
-        if not (0.0 < dt <= PLANT_DT_MAX):
-            raise ValueError(f"dt must be in (0, {PLANT_DT_MAX}]")
+    def step(self, state, l_ref):
+        """One control tick of STEPS_PER_TICK semi-implicit Euler steps toward
+        the length command l_ref.  Returns the tick's end state and the joint
+        angles after each step (steps x joints), which the car's pedal delay
+        reads."""
         l_ref = np.asarray(l_ref, dtype=float)
         if l_ref.shape != (self.geom.n_muscles,):
             raise ValueError("l_ref dimension mismatch")
         if not (np.all(np.isfinite(l_ref)) and np.all(np.isfinite(state.theta))):
             raise FloatingPointError("non-finite plant inputs")
-        cfg = self.config
-
-        l_act = state.l + dt * (l_ref - state.l) / cfg.tau_servo
-        f = self.tensions(state.theta, l_act)
-        G = self.geom.jacobian(state.theta)
-        tau_ext = -cfg.spring_k * (state.theta - cfg.spring_theta0)
-        tau = -G.T @ f + tau_ext - cfg.damping * state.theta_dot
-
-        theta_dot = state.theta_dot + dt * tau / cfg.inertia
-        theta_dot[self.constrained] = 0.0
-        theta = state.theta + dt * theta_dot
-        # hard stops at the joint limits
-        low = theta < self.geom.limits_lo
-        high = theta > self.geom.limits_hi
-        theta = np.clip(theta, self.geom.limits_lo, self.geom.limits_hi)
-        theta_dot[low | high] = 0.0
-
-        c = state.c + dt * (cfg.kappa_heat * f * f - cfg.kappa_cool * (state.c - cfg.c_ambient))
-        c = np.maximum(c, cfg.c_ambient)
-        return PlantState(theta=theta, theta_dot=theta_dot, l=l_act,
-                          f=f, c=c, t=state.t + dt)
+        cfg, dt = self.config, PLANT_DT
+        theta, theta_dot, l_act, c, t = state.theta, state.theta_dot, state.l, state.c, state.t
+        thetas = np.empty((STEPS_PER_TICK, self.geom.n_joints))
+        for k in range(STEPS_PER_TICK):
+            l_act = l_act + dt * (l_ref - l_act) / cfg.tau_servo
+            f = self.tensions(theta, l_act)
+            G = self.geom.jacobian(theta)
+            tau = (-G.T @ f - cfg.spring_k * (theta - cfg.spring_theta0)
+                   - cfg.damping * theta_dot)
+            theta_dot = theta_dot + dt * tau / cfg.inertia
+            theta_dot[self.constrained] = 0.0
+            theta = theta + dt * theta_dot
+            # hard stops at the joint limits
+            stop = (theta < self.geom.limits_lo) | (theta > self.geom.limits_hi)
+            theta = np.clip(theta, self.geom.limits_lo, self.geom.limits_hi)
+            theta_dot[stop] = 0.0
+            c = c + dt * (cfg.kappa_heat * f * f - cfg.kappa_cool * (c - cfg.c_ambient))
+            c = np.maximum(c, cfg.c_ambient)
+            t = t + dt
+            thetas[k] = theta
+        return PlantState(theta=theta, theta_dot=theta_dot, l=l_act, f=f, c=c, t=t), thetas
 
 
 # --------------------------------------------------------------------------
@@ -260,8 +267,8 @@ class CarState:
     buf_idx: int = 0
 
     @classmethod
-    def at_creep(cls, cfg, dt):
-        n = max(1, int(round(cfg.delay_s / dt)))
+    def at_creep(cls, cfg):
+        n = max(1, int(round(cfg.delay_s / PLANT_DT)))
         return cls(v_car=cfg.creep_kmh, pedal_buffer=np.zeros(n))
 
 
@@ -270,18 +277,19 @@ def car_drag(cfg, v):
     return cfg.drag_coeff * (v - cfg.creep_kmh)
 
 
-def car_step(car, cfg, pedal, brake, dt):
-    if not (0.0 < dt <= PLANT_DT_MAX):
-        raise ValueError(f"dt must be in (0, {PLANT_DT_MAX}]")
+def car_step(car, cfg, pedals, brake):
+    """One control tick: one PLANT_DT step per pedal angle in ``pedals``
+    (the joint angles Plant.step returns), the brake held throughout."""
     buf = car.pedal_buffer.copy()
-    delayed = buf[car.buf_idx]
-    buf[car.buf_idx] = pedal
-    idx = (car.buf_idx + 1) % buf.size
-
-    accel = (cfg.a_max * max(0.0, delayed - cfg.dead_zone)
-             - cfg.b_max * max(0.0, brake - cfg.brake_dead)
-             - car_drag(cfg, car.v_car))
-    v = max(0.0, car.v_car + dt * accel)
+    idx, v = car.buf_idx, car.v_car
+    for pedal in pedals:
+        delayed = buf[idx]
+        buf[idx] = pedal
+        idx = (idx + 1) % buf.size
+        accel = (cfg.a_max * max(0.0, delayed - cfg.dead_zone)
+                 - cfg.b_max * max(0.0, brake - cfg.brake_dead)
+                 - car_drag(cfg, v))
+        v = max(0.0, v + PLANT_DT * accel)
     return CarState(v_car=v, pedal_buffer=buf, buf_idx=idx)
 
 

@@ -49,6 +49,7 @@ class TensionQP:
 
 
 _REG = 1e-9
+_STEP_TOL = 1e-10   # a free coordinate's step below -_STEP_TOL can block
 
 
 def _solve_free(H, c, free, active, f_min):
@@ -65,7 +66,7 @@ def _solve_free(H, c, free, active, f_min):
     return x
 
 
-def solve_tension_qp(qp, tol=1e-10):
+def solve_tension_qp(qp):
     """Active-set solve of the bound-constrained tension QP.
 
     Starts fully pinned at f_min, takes feasible steps toward the current
@@ -85,7 +86,7 @@ def solve_tension_qp(qp, tol=1e-10):
         alpha = 1.0
         blocker = -1
         for i in np.where(free)[0]:
-            if step[i] < -tol:
+            if step[i] < -_STEP_TOL:
                 a = (qp.f_min[i] - x[i]) / step[i]
                 if a < alpha:
                     alpha = a
@@ -105,7 +106,7 @@ def solve_tension_qp(qp, tol=1e-10):
     return np.maximum(x, qp.f_min)
 
 
-def kkt_residual(qp, x, tol=1e-9):
+def kkt_residual(qp, x):
     """Max violation of stationarity/feasibility/complementarity at x."""
     H, c = qp.hessian_and_linear()
     grad = H @ x + c

@@ -131,17 +131,38 @@ def test_reader_returns_or_raises_config_error(doc):
 @pytest.mark.parametrize("sections,named", [
     ({"scenario": {"controler": "pid"}}, "scenario.controler"),
     ({"scenario": {"duration_s": -1}}, "scenario"),
+    ({"scenario": {"duration_s": 0.005}}, "control tick"),
     ({"scenario": {"controller": "pdi"}}, "scenario"),
     ({"pid": {"kp": 0.01, "kd": 0.0}}, "pid.ki"),
     ({"static": {"grid_points": "15"}}, "static.grid_points"),
     ({"dynamics": {"N": 25, "train": {"epochs": 0}}}, "dynamics.train"),
     ({"plant": dict(ANKLE, car={"steer_gain": 40.0})}, "steer_gain"),
     ({"plant": dict(ANKLE, muscles=ANKLE["muscles"][:1])}, "antagonistically"),
-], ids=["unknown-key", "negative-duration", "unknown-controller", "pid-without-ki",
-        "wrong-type", "bad-train-value", "removed-car-key", "one-muscle-per-joint"])
+], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
+        "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
+        "one-muscle-per-joint"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
+
+
+@pytest.mark.parametrize("argv,sections,named", [
+    (["experiment", "ekf", "--seed", "-1"], {}, "--seed"),
+    (["collect"], {"dynamics": {"rollout_s": 0.1}}, "dynamics.rollout_s"),
+    (["run"], {"dynamics": {"N": 10, "rollout_s": 0.2}}, "dynamics.rollout_s"),
+    (["experiment", "ekf"], {"ekf": {"mean": 0.7}}, "ekf"),
+], ids=["negative-seed", "rollout-shorter-than-horizon", "rollout-of-one-window",
+        "ekf-outside-joint-limits"])
+def test_cli_run_time_defect_exits_1(argv, sections, named, tmp_path, no_training, capsys):
+    # each of these used to pass the reader and end in a traceback later
+    code = run_cli(tmp_path, argv, **sections)
+    assert_one_line_error(code, capsys, named)
+
+
+def test_rollout_of_two_windows_and_ekf_at_the_limits_read():
+    cfg = cli.read_config({"version": 1, "dynamics": {"N": 10, "rollout_s": 0.22},
+                           "ekf": {"mean": 0.3, "amp": 0.5}})
+    assert cfg.rollout["duration_s"] == 0.22 and cfg.ekf["amp"] == 0.5
 
 
 # -- a loaded dynamics model sets the horizon --------------------------------

@@ -15,13 +15,11 @@ from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
 class StubRig:
     """First-order linear task stub: v' = decay * v + gain * u."""
 
-    def __init__(self, decay=0.95, gain=0.5, v0=0.0,
-                 u_limits=(0.0, 1.0), ctrl_dt=0.02):
+    def __init__(self, decay=0.95, gain=0.5, v0=0.0, u_limits=(0.0, 1.0)):
         self.decay = decay
         self.gain = gain
         self.v = v0
         self.u_limits = u_limits
-        self.ctrl_dt = ctrl_dt
 
     def task_state(self):
         return self.v
@@ -96,7 +94,7 @@ def test_rollout_windows_consistent():
 
 
 def test_random_profile_respects_limits_and_dwells():
-    u = random_command_profile(60.0, 0.02, (0.1, 0.7), seed=2)
+    u = random_command_profile(60.0, (0.1, 0.7), seed=2)
     assert u.min() >= 0.1 - 1e-12 and u.max() <= 0.7 + 1e-12
     # dwell segments pin the signal at the low stop
     assert np.sum(np.isclose(u, 0.1)) > 50
@@ -114,13 +112,20 @@ def test_constant_velocity_stub_learns_constant():
     assert model.holdout_rms < 0.05
 
 
-def test_linear_stub_matches_analytic_rollout():
-    # [DERIVED] closed-form linear system oracle
+@pytest.fixture(scope="module")
+def trained_stub():
+    """Stub rig v' = 0.9 v + u and its dynamics model: 60 s rollout, seed 0,
+    horizon 10, 300 epochs.  Read-only: a test that changes it copies it."""
     rig = StubRig(decay=0.9, gain=1.0)
     ds = collect_rollout(rig, 60.0, seed=0, horizon=10)
-    model = train_dynamics(ds, rig.u_limits, seed=0,
-                           train_cfg=TrainConfig(learning_rate=0.05,
-                                                 batch_size=32, epochs=300))
+    return rig, train_dynamics(ds, rig.u_limits, seed=0,
+                               train_cfg=TrainConfig(learning_rate=0.05,
+                                                     batch_size=32, epochs=300))
+
+
+def test_linear_stub_matches_analytic_rollout(trained_stub):
+    # [DERIVED] closed-form linear system oracle
+    _, model = trained_stub
     oracle = StubRig(decay=0.9, gain=1.0)
     S0, U, _ = collect_rollout(StubRig(decay=0.9, gain=1.0), 20.0,
                                seed=99, horizon=10)
@@ -295,17 +300,9 @@ def test_shift_warm_start():
     assert np.array_equal(shift_warm_start(u, fill=0.5), [2.0, 3.0, 0.5])
 
 
-def make_trained_stub_model(horizon=10):
-    rig = StubRig(decay=0.9, gain=1.0)
-    ds = collect_rollout(rig, 60.0, seed=0, horizon=horizon)
-    return rig, train_dynamics(ds, rig.u_limits, seed=0,
-                               train_cfg=TrainConfig(learning_rate=0.05,
-                                                     batch_size=32, epochs=300))
-
-
-def test_mpc_holds_equilibrium():
+def test_mpc_holds_equilibrium(trained_stub):
     # [DERIVED] steady state of v' = 0.9 v + u: v* = 10 u*
-    rig, model = make_trained_stub_model()
+    rig, model = trained_stub
     u_star = 0.5
     v_star = rig.gain * u_star / (1.0 - rig.decay)
     cfg = OptimizerConfig(alpha=0.1, beta=0.02, iterations=30, horizon=10)
@@ -314,8 +311,8 @@ def test_mpc_holds_equilibrium():
     assert abs(u_cmd - u_star) < 0.02
 
 
-def test_mpc_unreachable_target_pins_at_limit():
-    rig, model = make_trained_stub_model()
+def test_mpc_unreachable_target_pins_at_limit(trained_stub):
+    rig, model = trained_stub
     cfg = OptimizerConfig(alpha=0.0, beta=0.05, iterations=60, horizon=10)
     warm = None
     u_cmd = None

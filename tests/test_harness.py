@@ -122,6 +122,25 @@ def test_resume_event_clears_brake(pedal_rig_factory):
     assert not brake[t > 2.1].any()
 
 
+def test_peak_tension_is_the_peak_over_tick_ends(pedal_rig_factory):
+    # the tension peaks when the red light drops the pedal command to its low
+    # stop, far above its value at the last tick, once reported as the peak
+    rig = pedal_rig_factory(0)
+    ends = []
+    apply = rig.apply
+
+    def recording_apply(u, brake=0.0):
+        out = apply(u, brake=brake)
+        ends.append(float(rig.state.f.max()))
+        return out
+
+    rig.apply = recording_apply
+    sc = pid_scenario(duration_s=20.0, events=[(5.0, "light_red"), (8.0, "light_blue")])
+    rep = run_scenario(sc, rig)
+    assert rep.metrics["peak_tension_N"] == max(ends)
+    assert max(ends) > 2 * ends[-1]
+
+
 def test_run_scenario_csv_schema(pedal_rig_factory, tmp_path):
     rep = run_scenario(pid_scenario(name="sch", duration_s=1.0),
                        pedal_rig_factory(0), out_dir=str(tmp_path))

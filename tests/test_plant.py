@@ -6,8 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from tendonctl.plant import (CarConfig, CarState, ElasticElementParams,
-                             JointRangeError, JointSpec, MuscleSpec, Plant,
+from tendonctl.plant import (CTRL_DT, PLANT_DT, STEPS_PER_TICK, CarConfig,
+                             CarState, ElasticElementParams, JointRangeError,
+                             JointSpec, MuscleSpec, Plant, PlantState, car_drag,
                              car_step, default_ankle_geometry,
                              default_ankle_plant_config, default_arm_geometry,
                              default_arm_plant_config, elastic_elongation,
@@ -134,8 +135,8 @@ def test_rest_state_is_fixed_point():
     geom, p = make_ankle_plant()
     state = p.initial_state()
     l_ref = geom.muscle_lengths(state.theta)
-    for _ in range(200):
-        state = p.step(state, l_ref, 0.005)
+    for _ in range(50):
+        state, _ = p.step(state, l_ref)
     assert np.allclose(state.theta, geom.neutral_pose(), atol=1e-9)
     assert np.allclose(state.f, 0.0, atol=1e-9)
 
@@ -146,8 +147,8 @@ def test_shortening_agonist_moves_joint_along_minus_G():
     G = geom.jacobian(state.theta)
     l_ref = state.l.copy()
     l_ref[0] -= 0.002   # shorten muscle 0
-    for _ in range(400):
-        state = p.step(state, l_ref, 0.005)
+    for _ in range(100):
+        state, _ = p.step(state, l_ref)
     # torque from muscle 0 alone is -G[0] * f: theta moves opposite to G[0]
     assert np.sign(state.theta[0]) == np.sign(-G[0, 0])
     assert abs(state.theta[0]) > 1e-3
@@ -174,13 +175,75 @@ def test_plant_step_validation():
     geom, p = make_ankle_plant()
     state = p.initial_state()
     with pytest.raises(ValueError):
-        p.step(state, state.l, 0.5)
-    with pytest.raises(ValueError):
-        p.step(state, state.l[:1], 0.005)
+        p.step(state, state.l[:1])
     bad = state.l.copy()
     bad[0] = np.nan
     with pytest.raises(FloatingPointError):
-        p.step(state, bad, 0.005)
+        p.step(state, bad)
+
+
+def _reference_step(p, state, l_ref, dt=PLANT_DT):
+    """One semi-implicit Euler step of ``dt``: the one-step plant as it
+    stood before a control tick became one call."""
+    cfg = p.config
+    l_act = state.l + dt * (l_ref - state.l) / cfg.tau_servo
+    f = p.tensions(state.theta, l_act)
+    G = p.geom.jacobian(state.theta)
+    tau_ext = -cfg.spring_k * (state.theta - cfg.spring_theta0)
+    tau = -G.T @ f + tau_ext - cfg.damping * state.theta_dot
+    theta_dot = state.theta_dot + dt * tau / cfg.inertia
+    theta_dot[p.constrained] = 0.0
+    theta = state.theta + dt * theta_dot
+    low = theta < p.geom.limits_lo
+    high = theta > p.geom.limits_hi
+    theta = np.clip(theta, p.geom.limits_lo, p.geom.limits_hi)
+    theta_dot[low | high] = 0.0
+    c = state.c + dt * (cfg.kappa_heat * f * f - cfg.kappa_cool * (state.c - cfg.c_ambient))
+    c = np.maximum(c, cfg.c_ambient)
+    return PlantState(theta=theta, theta_dot=theta_dot, l=l_act, f=f, c=c, t=state.t + dt)
+
+
+def _reference_car_step(car, cfg, pedal, brake, dt=PLANT_DT):
+    """The one-step car as it stood before a control tick became one call."""
+    buf = car.pedal_buffer.copy()
+    delayed = buf[car.buf_idx]
+    buf[car.buf_idx] = pedal
+    idx = (car.buf_idx + 1) % buf.size
+    accel = (cfg.a_max * max(0.0, delayed - cfg.dead_zone)
+             - cfg.b_max * max(0.0, brake - cfg.brake_dead)
+             - car_drag(cfg, car.v_car))
+    v = max(0.0, car.v_car + dt * accel)
+    return CarState(v_car=v, pedal_buffer=buf, buf_idx=idx)
+
+
+@pytest.mark.parametrize("body", ["ankle", "arm"])
+def test_tick_is_four_steps_bit_for_bit(body):
+    # a tick is STEPS_PER_TICK steps of PLANT_DT: same theta, f, l, c, t and
+    # car speed to the last bit as stepping one PLANT_DT at a time
+    assert STEPS_PER_TICK * PLANT_DT == CTRL_DT
+    if body == "ankle":
+        geom, p = make_ankle_plant()
+    else:
+        geom = default_arm_geometry()
+        p = Plant(geom, default_arm_plant_config(geom))
+    rng = np.random.default_rng(7)
+    cfg = CarConfig()
+    tick, ref = p.initial_state(), p.initial_state()
+    car = ref_car = CarState.at_creep(cfg)
+    for k in range(60):
+        l_ref = ref.l + rng.uniform(-0.004, 0.002, size=geom.n_muscles)
+        brake = 0.4 if k % 7 == 0 else 0.0
+        tick, thetas = p.step(tick, l_ref)
+        car = car_step(car, cfg, thetas[:, 0], brake)
+        for j in range(STEPS_PER_TICK):
+            ref = _reference_step(p, ref, l_ref)
+            ref_car = _reference_car_step(ref_car, cfg, float(ref.theta[0]), brake)
+            assert np.array_equal(thetas[j], ref.theta)
+        for name in ("theta", "theta_dot", "l", "f", "c"):
+            assert np.array_equal(getattr(tick, name), getattr(ref, name)), name
+        assert tick.t == ref.t
+        assert car.v_car == ref_car.v_car and car.buf_idx == ref_car.buf_idx
+        assert np.array_equal(car.pedal_buffer, ref_car.pedal_buffer)
 
 
 def test_constrained_joint_does_not_move():
@@ -188,8 +251,8 @@ def test_constrained_joint_does_not_move():
     p.constrained[:] = True
     state = p.initial_state()
     l_ref = state.l - 0.002
-    for _ in range(200):
-        state = p.step(state, l_ref, 0.005)
+    for _ in range(50):
+        state, _ = p.step(state, l_ref)
     assert np.allclose(state.theta, geom.neutral_pose(), atol=1e-12)
     assert state.f.max() > 0.0
 
@@ -199,9 +262,9 @@ def test_constrained_joint_does_not_move():
 
 def test_creep_equilibrium():
     cfg = CarConfig()
-    car = CarState.at_creep(cfg, 0.005)
-    for _ in range(1000):
-        car = car_step(car, cfg, pedal=0.05, brake=0.0, dt=0.005)
+    car = CarState.at_creep(cfg)
+    for _ in range(250):
+        car = car_step(car, cfg, pedals=[0.05] * STEPS_PER_TICK, brake=0.0)
     assert car.v_car == pytest.approx(cfg.creep_kmh, abs=1e-9)
 
 
@@ -211,31 +274,30 @@ def test_constant_pedal_fixed_point():
     pedal = 0.3
     v_star = cfg.creep_kmh + cfg.a_max * (pedal - cfg.dead_zone) / cfg.drag_coeff
     assert v_star == pytest.approx(5.0)
-    car = CarState.at_creep(cfg, 0.005)
-    for _ in range(4000):
-        car = car_step(car, cfg, pedal=pedal, brake=0.0, dt=0.005)
+    car = CarState.at_creep(cfg)
+    for _ in range(1000):
+        car = car_step(car, cfg, pedals=[pedal] * STEPS_PER_TICK, brake=0.0)
     assert car.v_car == pytest.approx(v_star, abs=1e-6)
 
 
 def test_full_brake_reaches_and_holds_zero():
     cfg = CarConfig()
-    car = CarState.at_creep(cfg, 0.005)
+    car = CarState.at_creep(cfg)
     car.v_car = 5.0
-    for _ in range(2000):
-        car = car_step(car, cfg, pedal=0.0, brake=0.5, dt=0.005)
+    for _ in range(500):
+        car = car_step(car, cfg, pedals=[0.0] * STEPS_PER_TICK, brake=0.5)
     assert car.v_car == 0.0
-    car = car_step(car, cfg, pedal=0.0, brake=0.5, dt=0.005)
+    car = car_step(car, cfg, pedals=[0.0] * STEPS_PER_TICK, brake=0.5)
     assert car.v_car == 0.0
 
 
 def test_pedal_transport_delay():
     cfg = CarConfig()
-    dt = 0.005
-    car = CarState.at_creep(cfg, dt)
+    car = CarState.at_creep(cfg)
     v0 = car.v_car
-    n_delay = int(round(cfg.delay_s / dt))
+    n_delay = int(round(cfg.delay_s / CTRL_DT))   # 15 ticks of 4 steps
     for k in range(n_delay + 2):
-        car = car_step(car, cfg, pedal=0.5, brake=0.0, dt=dt)
+        car = car_step(car, cfg, pedals=[0.5] * STEPS_PER_TICK, brake=0.0)
         if k < n_delay:
             assert car.v_car == pytest.approx(v0)   # step not yet through the delay
     assert car.v_car > v0

@@ -113,8 +113,7 @@ def test_online_update_learns_injected_offset(static_model):
     for k in range(500):
         theta_ref = np.array([rng.uniform(-0.1, 0.6)])
         l_ref = model.infer_command(theta_ref, np.full(2, 20.0))
-        for _ in range(4):
-            state = plant.step(state, l_ref, 0.005)
+        state, _ = plant.step(state, l_ref)
         model.online_update(state.theta, state.f, state.l)
     err = model.prediction_error(state.theta, state.f, state.l)
     assert err[0] < 1e-3
