@@ -11,6 +11,7 @@ import inspect
 import json
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .plant import CTRL_DT, CarConfig, default_ankle_geometry, geometry_from_des
 from .static_ctrl import InitializationError, IntersensoryModel
 
 CONFIG_VERSION = 1
+ROLLOUT_VERSION = 1   # of the rollout.npz archive that collect writes
+ROLLOUT_KEYS = ("version", "S0", "U", "Y", "u_lo", "u_hi")
 
 # The config schema.  Attribute of the read config: (section, what takes its
 # keys, the keys as "key" or "key:parameter", whether their numbers must be
@@ -153,7 +156,12 @@ def read_config(doc, seed=0):
 def _static_model(args, cfg):
     """h from --static-model, else pre-trained on the config's body."""
     if args.static_model:
-        return IntersensoryModel.load(args.static_model)
+        model = IntersensoryModel.load(args.static_model)
+        body = (cfg.geom.n_joints, cfg.geom.n_muscles)
+        if (model.n_joints, model.n_muscles) != body:
+            raise ConfigError(f"{args.static_model} has {model.n_joints} joints and "
+                              f"{model.n_muscles} muscles but the body has {body[0]} and {body[1]}")
+        return model
     return static_ctrl.init_from_geometry(cfg.geom, seed=args.seed, **cfg.static)
 
 
@@ -204,16 +212,48 @@ def cmd_collect(args, cfg):
     S0, U, Y = collect_rollout(rig, cfg.rollout["duration_s"], args.seed,
                                cfg.rollout["horizon"])
     path = _out_path(args, "rollout.npz")
-    np.savez(path, S0=S0, U=U, Y=Y, u_lo=rig.u_limits[0], u_hi=rig.u_limits[1])
+    np.savez(path, version=ROLLOUT_VERSION, S0=S0, U=U, Y=Y,
+             u_lo=rig.u_limits[0], u_hi=rig.u_limits[1])
     print(f"wrote {path} ({S0.shape[0]} windows)")
     return 0
 
 
+def _read_rollout(path):
+    """The windows (S0, U, Y) and command limits of a ``collect`` archive.
+    Raises ConfigError unless it is one of ROLLOUT_VERSION with at least two
+    windows, one to fit and one to hold out."""
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: not an .npz archive") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path}: not an .npz archive")
+    with data:
+        missing = [k for k in ROLLOUT_KEYS if k not in data.files]
+        if missing:
+            raise ConfigError(f"{path}: no {missing[0]!r} array in the rollout archive")
+        try:
+            a = {k: data[k] for k in ROLLOUT_KEYS}
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path}: unreadable rollout archive ({exc})") from exc
+    if any(v.dtype.kind not in "fiu" for v in a.values()):
+        raise ConfigError(f"{path}: non-numeric array in the rollout archive")
+    version, lo, hi = (a[k] for k in ("version", "u_lo", "u_hi"))
+    if version.shape or version != ROLLOUT_VERSION:
+        raise ConfigError(f"{path}: rollout archive version {version}; expected {ROLLOUT_VERSION}")
+    S0, U, Y = a["S0"], a["U"], a["Y"]
+    if not (S0.ndim == U.ndim == 2 and Y.shape == U.shape and len(S0) == len(U)
+            and lo.shape == hi.shape == () and lo < hi):
+        raise ConfigError(f"{path}: S0 {S0.shape}, U {U.shape}, Y {Y.shape} and limits "
+                          f"({lo}, {hi}) do not form windows")
+    if len(S0) < 2:
+        raise ConfigError(f"{path}: {len(S0)} window; training needs at least two")
+    return (S0, U, Y), (float(lo), float(hi))
+
+
 def cmd_train_dynamics(args, cfg):
-    data = np.load(args.data)
-    model = train_dynamics((data["S0"], data["U"], data["Y"]),
-                           (float(data["u_lo"]), float(data["u_hi"])),
-                           seed=args.seed, **cfg.train)
+    dataset, u_limits = _read_rollout(args.data)
+    model = train_dynamics(dataset, u_limits, seed=args.seed, **cfg.train)
     path = _out_path(args, "dynamics_model.json")
     model.save(path)
     print(f"wrote {path} (holdout RMS {model.holdout_rms:.3f} km/h)")

@@ -247,9 +247,7 @@ def compare_controllers(scenario, rig_factory, dynamics_model,
 
 def _geometric_commands(geom, theta_ref, f_ref):
     """Ideal inverse command: geometric length minus elastic elongation."""
-    elong = np.array([elastic_elongation(p, fi)
-                      for p, fi in zip(geom.elastic_params(), f_ref)])
-    return geom.muscle_lengths(theta_ref) - elong
+    return geom.muscle_lengths(theta_ref) - elastic_elongation(geom, f_ref)
 
 
 MRC_SETTLE_S = 2.0   # co-contracted hold before relaxation starts [s]

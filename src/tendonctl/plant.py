@@ -15,7 +15,6 @@ import numpy as np
 CTRL_DT = 0.02       # control tick [s]
 PLANT_DT = 0.005     # integration step [s]
 STEPS_PER_TICK = 4
-FD_STEP = 1e-6       # central-difference step of MuscleGeometry.jacobian [rad]
 DESCRIPTION_VERSION = 1
 
 
@@ -68,7 +67,13 @@ class MuscleGeometry:
     """Straight-line muscle paths over planar revolute chains.
 
     Link 0 is the fixed base; joint j rotates link j+1 relative to its
-    parent link about the mount point.
+    parent link about the mount point.  The attachments are flattened into
+    arrays once, so that one pass over them gives every muscle length and,
+    on request, G = dl/dtheta analytically: joint j moves each point p that
+    it carries by z x (p - o_j), where o_j is the joint's world position
+    (the planar revolute point Jacobian; Murray, Li & Sastry, 1994, ch. 3).
+    ``k2`` and ``slack`` hold every muscle's elastic parameters, so the
+    geometry serves as the params of elastic_tension and elastic_elongation.
     """
 
     def __init__(self, joints, muscles):
@@ -78,9 +83,29 @@ class MuscleGeometry:
         self.n_muscles = len(self.muscles)
         self.limits_lo = np.array([j.limits[0] for j in self.joints])
         self.limits_hi = np.array([j.limits[1] for j in self.joints])
+        self.k2 = np.array([m.k2 for m in self.muscles], dtype=float)
+        self.slack = np.array([m.slack for m in self.muscles], dtype=float)
+        self._offset = np.array([m.length_offset for m in self.muscles], dtype=float)
+        # moves[L, j]: joint j lies on link L's chain to the base
+        moves = np.zeros((self.n_joints + 1, self.n_joints))
         for j_idx, j in enumerate(self.joints):
             if j.parent > j_idx:
                 raise ValueError(f"joint {j.name}: parent link must precede it")
+            moves[j_idx + 1] = moves[j.parent]
+            moves[j_idx + 1, j_idx] = 1.0
+        points = [(link, xy) for m in self.muscles for link, xy in m.attachments]
+        self._link = np.array([link for link, _ in points], dtype=int)
+        if np.any((self._link < 0) | (self._link > self.n_joints)):
+            raise ValueError(f"attachment links must lie in 0..{self.n_joints}")
+        self._local = np.array([xy for _, xy in points], dtype=float).reshape(-1, 2)
+        # points a and b = a + 1 of one muscle make a segment of it
+        owner = np.repeat(np.arange(self.n_muscles), [len(m.attachments) for m in self.muscles])
+        self._a = np.flatnonzero(owner[:-1] == owner[1:])
+        self._b = self._a + 1
+        self._S = np.zeros((self.n_muscles, self._a.size))
+        self._S[owner[self._a], np.arange(self._a.size)] = 1.0
+        self._moves_a = moves[self._link[self._a]]
+        self._moves_b = moves[self._link[self._b]]
 
     def _check_theta(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -104,34 +129,37 @@ class MuscleGeometry:
             angles[j + 1] = pa + theta[j]
         return angles, positions
 
+    def _paths(self, theta, jacobian=False):
+        """Muscle lengths at a checked theta, and with ``jacobian`` also G."""
+        angles, positions = self.link_frames(theta)
+        c, s = np.cos(angles)[self._link], np.sin(angles)[self._link]
+        x, y = self._local[:, 0], self._local[:, 1]
+        p = positions[self._link] + np.stack([c * x - s * y, s * x + c * y], axis=1)
+        pa, pb = p[self._a], p[self._b]
+        d = pb - pa
+        norm = np.hypot(d[:, 0], d[:, 1])
+        lengths = self._S @ norm + self._offset
+        if not jacobian:
+            return lengths
+        # a segment whose ends coincide (d = 0, as when it is led through a
+        # joint centre) adds nothing to G: 0 is a subgradient of |d| there
+        u = d / np.where(norm > 0, norm, 1.0)[:, None]
+        ux, uy = u[:, 0], u[:, 1]
+        # u . (z x (q - o_j)) = q x u - o_j x u for a segment end q that joint j moves
+        o = positions[1:]
+        o_u = np.outer(uy, o[:, 0]) - np.outer(ux, o[:, 1])
+        pa_u = (pa[:, 0] * uy - pa[:, 1] * ux)[:, None]
+        pb_u = (pb[:, 0] * uy - pb[:, 1] * ux)[:, None]
+        G_seg = self._moves_b * (pb_u - o_u) - self._moves_a * (pa_u - o_u)
+        return lengths, self._S @ G_seg
+
     def muscle_lengths(self, theta):
         """Geometric path length (plus calibration offset) per muscle."""
-        theta = self._check_theta(theta)
-        angles, positions = self.link_frames(theta)
-        cos_a, sin_a = np.cos(angles), np.sin(angles)
-        lengths = np.empty(self.n_muscles)
-        for m, spec in enumerate(self.muscles):
-            pts = np.empty((len(spec.attachments), 2))
-            for i, (link, (px, py)) in enumerate(spec.attachments):
-                c, s = cos_a[link], sin_a[link]
-                pts[i] = positions[link] + [c * px - s * py, s * px + c * py]
-            segs = np.diff(pts, axis=0)
-            lengths[m] = np.sum(np.hypot(segs[:, 0], segs[:, 1])) + spec.length_offset
-        return lengths
+        return self._paths(self._check_theta(theta))
 
     def jacobian(self, theta):
-        """d(muscle length)/d(joint angle), central finite differences."""
-        theta = self._check_theta(theta)
-        G = np.empty((self.n_muscles, self.n_joints))
-        for j in range(self.n_joints):
-            tp, tm = theta.copy(), theta.copy()
-            tp[j] += FD_STEP
-            tm[j] -= FD_STEP
-            # keep perturbed poses inside the declared limits
-            tp[j] = min(tp[j], self.limits_hi[j])
-            tm[j] = max(tm[j], self.limits_lo[j])
-            G[:, j] = (self.muscle_lengths(tp) - self.muscle_lengths(tm)) / (tp[j] - tm[j])
-        return G
+        """d(muscle length)/d(joint angle), analytic."""
+        return self._paths(self._check_theta(theta), jacobian=True)[1]
 
     def neutral_pose(self):
         return np.clip(np.zeros(self.n_joints), self.limits_lo, self.limits_hi)
@@ -143,9 +171,6 @@ class MuscleGeometry:
         for j, spec in enumerate(self.joints):
             if not (np.any(G[:, j] > tol) and np.any(G[:, j] < -tol)):
                 raise ValueError(f"joint {spec.name} is not spanned antagonistically")
-
-    def elastic_params(self):
-        return [ElasticElementParams(m.k2, m.slack) for m in self.muscles]
 
 
 @dataclass
@@ -189,8 +214,6 @@ class Plant:
         self.geom = geom
         self.config = config
         self.constrained = np.zeros(geom.n_joints, dtype=bool)
-        self._k2 = np.array([m.k2 for m in geom.muscles])
-        self._slack = np.array([m.slack for m in geom.muscles])
 
     def initial_state(self, theta=None):
         """Rest state: actuated lengths match the pose, no tension."""
@@ -207,36 +230,34 @@ class Plant:
         """Muscle torque required to hold the pose against the load spring."""
         return self.config.spring_k * (np.asarray(theta, float) - self.config.spring_theta0)
 
-    def tensions(self, theta, l_act):
-        stretch = self.geom.muscle_lengths(theta) - l_act
-        s = np.maximum(0.0, stretch - self._slack)
-        return self._k2 * s * s
-
     def step(self, state, l_ref):
         """One control tick of STEPS_PER_TICK semi-implicit Euler steps toward
         the length command l_ref.  Returns the tick's end state and the joint
         angles after each step (steps x joints), which the car's pedal delay
-        reads."""
+        reads.  Each step makes one geometry pass for both f and G; theta is
+        checked once, since the joint stops keep it inside the limits."""
+        geom = self.geom
         l_ref = np.asarray(l_ref, dtype=float)
-        if l_ref.shape != (self.geom.n_muscles,):
+        if l_ref.shape != (geom.n_muscles,):
             raise ValueError("l_ref dimension mismatch")
         if not (np.all(np.isfinite(l_ref)) and np.all(np.isfinite(state.theta))):
             raise FloatingPointError("non-finite plant inputs")
         cfg, dt = self.config, PLANT_DT
-        theta, theta_dot, l_act, c, t = state.theta, state.theta_dot, state.l, state.c, state.t
-        thetas = np.empty((STEPS_PER_TICK, self.geom.n_joints))
+        theta = geom._check_theta(state.theta)
+        theta_dot, l_act, c, t = state.theta_dot, state.l, state.c, state.t
+        thetas = np.empty((STEPS_PER_TICK, geom.n_joints))
         for k in range(STEPS_PER_TICK):
             l_act = l_act + dt * (l_ref - l_act) / cfg.tau_servo
-            f = self.tensions(theta, l_act)
-            G = self.geom.jacobian(theta)
+            l_geo, G = geom._paths(theta, jacobian=True)
+            f = elastic_tension(geom, l_geo - l_act)
             tau = (-G.T @ f - cfg.spring_k * (theta - cfg.spring_theta0)
                    - cfg.damping * theta_dot)
             theta_dot = theta_dot + dt * tau / cfg.inertia
             theta_dot[self.constrained] = 0.0
             theta = theta + dt * theta_dot
             # hard stops at the joint limits
-            stop = (theta < self.geom.limits_lo) | (theta > self.geom.limits_hi)
-            theta = np.clip(theta, self.geom.limits_lo, self.geom.limits_hi)
+            stop = (theta < geom.limits_lo) | (theta > geom.limits_hi)
+            theta = np.clip(theta, geom.limits_lo, geom.limits_hi)
             theta_dot[stop] = 0.0
             c = c + dt * (cfg.kappa_heat * f * f - cfg.kappa_cool * (c - cfg.c_ambient))
             c = np.maximum(c, cfg.c_ambient)
@@ -258,6 +279,11 @@ class CarConfig:
     brake_dead: float = 0.05   # brake pedal dead zone [rad]
     delay_s: float = 0.3       # pedal actuation transport delay [s]
     creep_kmh: float = 2.0     # velocity with no pedal input [km/h]
+
+    def __post_init__(self):
+        for name in ("delay_s", "drag_coeff", "creep_kmh"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"car.{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -119,19 +119,18 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
     axes = [np.linspace(lo, hi, grid_points)
             for lo, hi in zip(geom.limits_lo, geom.limits_hi)]
     thetas = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    elastic = geom.elastic_params()
 
     X, Y = [], []
     for theta in thetas:
         l_geo = geom.muscle_lengths(theta)
         # sample uniformly in elongation (the steep region sits near f = 0)
-        e_max = np.sqrt(f_max / np.array([p.k2 for p in elastic]))
+        e_max = np.sqrt(f_max / geom.k2)
         e_rows = np.vstack([np.zeros(geom.n_muscles),
                             rng.uniform(0.0, 1.0, size=(f_samples - 1, geom.n_muscles)) * e_max])
         for e in e_rows:
-            f = np.array([p.k2 for p in elastic]) * e * e
+            f = geom.k2 * e * e
             X.append(np.concatenate([theta, f]))
-            Y.append(l_geo - e - np.array([p.slack for p in elastic]) * (f > 0))
+            Y.append(l_geo - e - geom.slack * (f > 0))
     X = np.array(X)
     Y = np.array(Y)
 

@@ -138,9 +138,13 @@ def test_reader_returns_or_raises_config_error(doc):
     ({"dynamics": {"N": 25, "train": {"epochs": 0}}}, "dynamics.train"),
     ({"plant": dict(ANKLE, car={"steer_gain": 40.0})}, "steer_gain"),
     ({"plant": dict(ANKLE, muscles=ANKLE["muscles"][:1])}, "antagonistically"),
+    ({"plant": dict(ANKLE, car={"delay_s": -1.0})}, "car.delay_s"),
+    ({"plant": dict(ANKLE, car={"drag_coeff": -2.0})}, "car.drag_coeff"),
+    ({"plant": dict(ANKLE, car={"creep_kmh": -2.0})}, "car.creep_kmh"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
-        "one-muscle-per-joint"])
+        "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
+        "negative-car-creep"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
@@ -201,6 +205,58 @@ def test_cli_loaded_model_mismatch_exits_1(dynamics, state_dim, named, tmp_path,
     code = run_cli(tmp_path, ["run", "--static-model", static_model_path, "--dynamics-model", dyn],
                    scenario={"duration_s": 0.2}, dynamics=dynamics)
     assert_one_line_error(code, capsys, named)
+
+
+def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys):
+    # h of a 2-joint, 6-muscle arm against the config's ankle is refused when
+    # the stack is built, not at the first tick
+    arm_h = static_ctrl.IntersensoryModel(MLPNetwork.seeded([8, 4, 6], seed=0), 2, 6)
+    arm_h.save(tmp_path / "arm_h.json")
+    code = run_cli(tmp_path, ["collect", "--static-model", str(tmp_path / "arm_h.json")])
+    assert_one_line_error(code, capsys, "2 joints and 6 muscles", "has 1 and 2")
+
+
+# -- the rollout archive -----------------------------------------------------
+
+
+def write_rollout(path, n=40, **arrays):
+    """A rollout archive of ``n`` windows as collect writes it, with ``arrays``
+    replaced (None drops one)."""
+    rng = np.random.default_rng(0)
+    doc = dict(version=cli.ROLLOUT_VERSION, S0=rng.normal(size=(n, 7)),
+               U=rng.uniform(size=(n, 10)), Y=rng.normal(size=(n, 10)), u_lo=0.0, u_hi=0.6)
+    doc.update(arrays)
+    np.savez(path, **{k: v for k, v in doc.items() if v is not None})
+    return str(path)
+
+
+def test_collect_writes_what_train_dynamics_reads(tmp_path, static_model_path):
+    dyn = {"N": 10, "rollout_s": 0.6, "rms_threshold": 100.0}
+    assert run_cli(tmp_path, ["collect", "--static-model", static_model_path],
+                   dynamics=dyn) == 0
+    data = tmp_path / "out" / "rollout.npz"
+    assert int(np.load(data)["version"]) == cli.ROLLOUT_VERSION
+    assert run_cli(tmp_path, ["train-dynamics", "--data", str(data)], dynamics=dyn) == 0
+
+
+@pytest.mark.parametrize("arrays,n,named", [
+    ({"U": None}, 40, "'U'"),
+    ({"version": None}, 40, "'version'"),
+    ({"version": 2}, 40, "version 2"),
+    ({"Y": np.zeros((40, 9))}, 40, "windows"),
+    ({}, 1, "at least two"),
+], ids=["missing-U", "no-version", "other-version", "shape-mismatch", "one-window"])
+def test_cli_bad_rollout_archive_exits_1(arrays, n, named, tmp_path, no_training, capsys):
+    data = write_rollout(tmp_path / "rollout.npz", n=n, **arrays)
+    code = run_cli(tmp_path, ["train-dynamics", "--data", data])
+    assert_one_line_error(code, capsys, named)
+
+
+def test_cli_rollout_that_is_not_an_npz_exits_1(tmp_path, no_training, capsys):
+    data = tmp_path / "rollout.npz"
+    data.write_text("S0,U,Y\n1,2,3\n")
+    code = run_cli(tmp_path, ["train-dynamics", "--data", str(data)])
+    assert_one_line_error(code, capsys, "not an .npz archive")
 
 
 # -- one pre-training path ---------------------------------------------------

@@ -249,11 +249,13 @@ def write_config(tmp_path, **sections):
     return str(cfg)
 
 
-def assert_one_line_error(code, capsys):
+def assert_one_line_error(code, capsys, *words):
     err = capsys.readouterr().err
     assert code == 1
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    for word in words:
+        assert word in err
 
 
 def test_cli_run_pretrains_static_model_once(tmp_path, monkeypatch):
@@ -285,14 +287,14 @@ def test_cli_initialization_error_exits_1(tmp_path, capsys):
 def test_cli_training_threshold_error_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     data = tmp_path / "rollout.npz"
-    np.savez(data, S0=rng.normal(size=(40, 2)), U=rng.uniform(size=(40, 3)),
-             Y=rng.normal(size=(40, 3)), u_lo=0.0, u_hi=1.0)
+    np.savez(data, version=cli.ROLLOUT_VERSION, S0=rng.normal(size=(40, 2)),
+             U=rng.uniform(size=(40, 3)), Y=rng.normal(size=(40, 3)), u_lo=0.0, u_hi=1.0)
     cfg = write_config(tmp_path, dynamics={
         "rms_threshold": 1e-12,
         "train": {"learning_rate": 0.05, "batch_size": 16, "epochs": 1}})
     code = cli.main(["train-dynamics", "--config", cfg, "--data", str(data),
                      "--out", str(tmp_path / "out")])
-    assert_one_line_error(code, capsys)
+    assert_one_line_error(code, capsys, "held-out one-step RMS")
 
 
 @pytest.mark.parametrize("argv", [

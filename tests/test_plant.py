@@ -2,17 +2,21 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tendonctl.plant import (CTRL_DT, PLANT_DT, STEPS_PER_TICK, CarConfig,
                              CarState, ElasticElementParams, JointRangeError,
-                             JointSpec, MuscleSpec, Plant, PlantState, car_drag,
-                             car_step, default_ankle_geometry,
-                             default_ankle_plant_config, default_arm_geometry,
-                             default_arm_plant_config, elastic_elongation,
-                             elastic_tension, geometry_from_description)
+                             JointSpec, MuscleGeometry, MuscleSpec, Plant,
+                             PlantState, car_drag, car_step,
+                             default_ankle_geometry, default_ankle_plant_config,
+                             default_arm_geometry, default_arm_plant_config,
+                             elastic_elongation, elastic_tension,
+                             geometry_from_description)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -108,6 +112,107 @@ def test_jacobian_deterministic():
     assert np.array_equal(geom.jacobian(theta), geom.jacobian(theta))
 
 
+BODIES = {"ankle": default_ankle_geometry, "arm": default_arm_geometry}
+
+
+def _world_points(geom, theta):
+    """Each muscle's attachment points in the world frame, one at a time."""
+    angles, positions = geom.link_frames(theta)
+    cos_a, sin_a = np.cos(angles), np.sin(angles)
+    points = []
+    for spec in geom.muscles:
+        pts = np.empty((len(spec.attachments), 2))
+        for i, (link, (px, py)) in enumerate(spec.attachments):
+            c, s = cos_a[link], sin_a[link]
+            pts[i] = positions[link] + [c * px - s * py, s * px + c * py]
+        points.append(pts)
+    return points
+
+
+def _reference_lengths(geom, theta):
+    """The per-muscle loop that muscle_lengths was before its one pass."""
+    lengths = np.empty(geom.n_muscles)
+    for m, (spec, pts) in enumerate(zip(geom.muscles, _world_points(geom, theta))):
+        segs = np.diff(pts, axis=0)
+        lengths[m] = np.sum(np.hypot(segs[:, 0], segs[:, 1])) + spec.length_offset
+    return lengths
+
+
+def _central_differences(geom, theta, h):
+    G = np.empty((geom.n_muscles, geom.n_joints))
+    for j in range(geom.n_joints):
+        step = np.zeros(geom.n_joints)
+        step[j] = h
+        G[:, j] = (geom.muscle_lengths(theta + step) - geom.muscle_lengths(theta - step)) / (2 * h)
+    return G
+
+
+@st.composite
+def branching_bodies(draw):
+    """A random planar body: joints 0 and 1 both hang off the base (a branch),
+    later joints off any earlier link; muscle 0 has three points."""
+    n = draw(st.integers(2, 4))
+    xy = st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+    joints = [JointSpec(f"j{j}", parent=0 if j < 2 else draw(st.integers(0, j)),
+                        origin=draw(xy), limits=(-1.0, 1.0)) for j in range(n)]
+    muscles = []
+    for m in range(draw(st.integers(1, 4))):
+        links = draw(st.lists(st.integers(0, n), min_size=2 if m else 3, max_size=3))
+        muscles.append(MuscleSpec(f"m{m}", [(link, draw(xy)) for link in links],
+                                  length_offset=draw(st.floats(0.0, 0.01))))
+    return MuscleGeometry(joints, muscles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("body", ["ankle", "arm", "branching"])
+def test_jacobian_matches_central_differences(body, data):
+    geom = data.draw(branching_bodies()) if body == "branching" else BODIES[body]()
+    h = 1e-6
+    theta = np.array([data.draw(st.floats(lo + h, hi - h))
+                      for lo, hi in zip(geom.limits_lo, geom.limits_hi)])
+    points = _world_points(geom, theta)
+    assume(min(np.hypot(*np.diff(p, axis=0).T).min() for p in points) > 0.01)
+    assert np.max(np.abs(geom.jacobian(theta) - _central_differences(geom, theta, h))) < 1e-8
+    assert np.array_equal(geom.muscle_lengths(theta), _reference_lengths(geom, theta))
+
+
+@pytest.mark.parametrize("body", ["ankle", "arm"])
+def test_muscle_lengths_equal_the_per_muscle_loop(body):
+    geom = BODIES[body]()
+    rng = np.random.default_rng(3)
+    for theta in rng.uniform(geom.limits_lo, geom.limits_hi, size=(400, geom.n_joints)):
+        assert np.array_equal(geom.muscle_lengths(theta), _reference_lengths(geom, theta))
+
+
+@pytest.mark.parametrize("body", ["ankle", "arm"])
+def test_jacobian_at_a_limit_is_two_sided(body):
+    # the paths run on smoothly past a joint stop, so G there is the central
+    # derivative, taken on the same body with wider limits
+    geom = BODIES[body]()
+    wide = MuscleGeometry([replace(j, limits=(-3.0, 3.0)) for j in geom.joints],
+                          geom.muscles)
+    for theta in (geom.limits_lo, geom.limits_hi):
+        G = _central_differences(wide, theta, 1e-5)
+        assert np.max(np.abs(geom.jacobian(theta) - G)) < 1e-9
+
+
+def test_segment_through_a_joint_centre_adds_nothing_to_g():
+    # the elbow flexor led through the elbow's mount point: its segment from
+    # the mount point to the forearm's origin has zero length at every pose
+    geom = default_arm_geometry()
+    elbow = geom.joints[1]
+    (l0, anchor), (l1, via), (l2, insertion) = geom.muscles[4].attachments
+    led = replace(geom.muscles[4], attachments=[(l0, anchor), (l1, via), (elbow.parent, elbow.origin),
+                                                (2, (0.0, 0.0)), (l2, insertion)])
+    body = MuscleGeometry(geom.joints, geom.muscles[:4] + [led] + geom.muscles[5:])
+    theta = np.array([0.3, -0.4])
+    G = body.jacobian(theta)
+    assert np.all(np.isfinite(G))
+    assert np.max(np.abs(G - _central_differences(body, theta, 1e-6))) < 1e-8
+    assert np.array_equal(body.muscle_lengths(theta), _reference_lengths(body, theta))
+
+
 def test_joint_limits_enforced():
     geom = default_ankle_geometry()
     with pytest.raises(JointRangeError):
@@ -187,7 +292,9 @@ def _reference_step(p, state, l_ref, dt=PLANT_DT):
     stood before a control tick became one call."""
     cfg = p.config
     l_act = state.l + dt * (l_ref - state.l) / cfg.tau_servo
-    f = p.tensions(state.theta, l_act)
+    stretch = p.geom.muscle_lengths(state.theta) - l_act
+    s = np.maximum(0.0, stretch - p.geom.slack)
+    f = p.geom.k2 * s * s
     G = p.geom.jacobian(state.theta)
     tau_ext = -cfg.spring_k * (state.theta - cfg.spring_theta0)
     tau = -G.T @ f + tau_ext - cfg.damping * state.theta_dot
@@ -258,6 +365,13 @@ def test_constrained_joint_does_not_move():
 
 
 # -- car model -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["delay_s", "drag_coeff", "creep_kmh"])
+def test_car_config_rejects_negative_values(key):
+    with pytest.raises(ValueError, match=key):
+        CarConfig(**{key: -1.0})
+    assert getattr(CarConfig(**{key: 0.0}), key) == 0.0
 
 
 def test_creep_equilibrium():

@@ -32,8 +32,7 @@ def test_tension_shifts_length_by_elastic_elongation(static_model, ankle_geom):
     f100 = np.full(ankle_geom.n_muscles, 100.0)
     diff = (static_model.infer_command(theta, np.zeros(2))
             - static_model.infer_command(theta, f100))
-    elong = np.array([elastic_elongation(p, 100.0)
-                      for p in ankle_geom.elastic_params()])
+    elong = elastic_elongation(ankle_geom, f100)   # the geometry holds k2 and slack
     assert np.max(np.abs(diff - elong)) < 5e-4
 
 
