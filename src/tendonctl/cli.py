@@ -74,9 +74,10 @@ def _checked(path, value, kind, positive):
     return value
 
 
-def _take(section, path, target, keys, positive):
+def _take(section, path, target, keys, positive, seed):
     """Pop the keyword arguments ``keys`` of ``target`` from a config section,
-    each checked against the type of its parameter's annotation or default."""
+    each checked against the type of its parameter's annotation or default.
+    A ``train`` section's TrainConfig takes ``seed``, as the default one does."""
     params = inspect.signature(target).parameters
     kwargs = {}
     for name in keys.split():
@@ -88,8 +89,9 @@ def _take(section, path, target, keys, positive):
             kwargs[p.name] = p.default
         elif key == "train":
             train = _object(section.pop(key), at)
-            kwargs[p.name] = _build(at, TrainConfig, _take(
-                train, at, TrainConfig, "learning_rate batch_size epochs", False))
+            kwargs[p.name] = _build(at, TrainConfig, dict(_take(
+                train, at, TrainConfig, "learning_rate batch_size epochs", False, seed),
+                seed=seed))
             _done(train, f"{at}.")
         elif isinstance(p.default, tuple):
             value = _checked(at, section.pop(key), tuple, False)
@@ -133,7 +135,7 @@ def read_config(doc, seed=0):
     for attr, (name, target, keys, positive) in SCHEMA.items():
         section = sections.get(name, {} if name != "pid" else None)
         setattr(cfg, attr, section if section is None   # no pid: harness.DEFAULT_PID
-                else _take(section, name, target, keys, positive))
+                else _take(section, name, target, keys, positive, seed))
     for name, section in sections.items():
         _done(section, f"{name}.")
     cfg.scenario = _build("scenario", Scenario, dict(cfg.scenario, seed=seed))
@@ -270,7 +272,7 @@ def cmd_run(args, cfg):
 
 def cmd_compare(args, cfg):
     rig_factory, dyn = _stack(args, cfg)
-    report = compare_controllers(cfg.scenario, rig_factory, dyn,
+    report = compare_controllers(cfg.scenario, rig_factory, dyn, cfg.doc,
                                  opt_cfg=cfg.opt_cfg, pid_gains=cfg.pid_gains,
                                  out_dir=args.out)
     _emit(args, report, "compare.json")

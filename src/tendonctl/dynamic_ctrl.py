@@ -19,6 +19,9 @@ from .plant import CTRL_DT
 # knots DWELL_KNOTS knots pinned to the low stop
 HOLD_S, DWELL_EVERY, DWELL_KNOTS = 0.5, 20, 5
 
+HIDDEN = (64, 64)        # the dynamics net's hidden layer sizes
+HOLDOUT_FRACTION = 0.1   # share of the windows held out of training
+
 
 class TrainingThresholdError(RuntimeError):
     """Held-out prediction error exceeded the configured threshold."""
@@ -42,13 +45,6 @@ class OptimizerConfig:
             raise ValueError("iterations must be >= 1")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
-
-
-def adjacent_smoothness(u):
-    """Mean squared difference between adjacent commands."""
-    u = np.asarray(u, dtype=float)
-    d = np.diff(u)
-    return float(np.mean(d * d)) if d.size else 0.0
 
 
 class DynamicsModel(nets.JSONPersisted):
@@ -159,8 +155,7 @@ def collect_rollout(rig, duration_s, seed, horizon):
     return S0, U, Y
 
 
-def train_dynamics(dataset, u_limits, train_cfg=None, hidden=(64, 64),
-                   holdout_fraction=0.1, rms_threshold=0.3, seed=0):
+def train_dynamics(dataset, u_limits, train_cfg=None, rms_threshold=0.3, seed=0):
     """Fit the horizon-transition net; verify one-step held-out accuracy."""
     S0, U, Y = dataset
     if S0.shape[0] == 0:
@@ -171,7 +166,7 @@ def train_dynamics(dataset, u_limits, train_cfg=None, hidden=(64, 64),
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    n_hold = max(1, int(round(holdout_fraction * n)))
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * n)))
     hold, fit = order[:n_hold], order[n_hold:]
 
     lo = X.min(axis=0)
@@ -183,14 +178,15 @@ def train_dynamics(dataset, u_limits, train_cfg=None, hidden=(64, 64),
     out_scaler = FeatureScaler(np.full(horizon, ylo - 0.05 * yspan),
                                np.full(horizon, yhi + 0.05 * yspan))
 
-    net = MLPNetwork.seeded([X.shape[1], *hidden, horizon], seed=seed,
+    net = MLPNetwork.seeded([X.shape[1], *HIDDEN, horizon], seed=seed,
                             in_scaler=in_scaler, out_scaler=out_scaler)
     cfg = train_cfg or TrainConfig(learning_rate=0.05, batch_size=32,
                                    epochs=150, seed=seed)
     nets.train(net, in_scaler.to_unit(X[fit]), out_scaler.to_unit(Y[fit]), cfg)
 
     model = DynamicsModel(net, state_dim, horizon, u_limits)
-    pred1 = np.array([model.predict(S0[i], U[i])[0] for i in hold])
+    # the first predicted step of every held-out window, in one batch
+    pred1 = out_scaler.from_unit(net.forward(in_scaler.to_unit(X[hold])))[:, 0]
     rms = float(np.sqrt(np.mean((pred1 - Y[hold, 0]) ** 2)))
     if rms > rms_threshold:
         raise TrainingThresholdError(

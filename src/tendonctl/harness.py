@@ -227,9 +227,10 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
     return report
 
 
-def compare_controllers(scenario, rig_factory, dynamics_model,
+def compare_controllers(scenario, rig_factory, dynamics_model, cfg_doc,
                         opt_cfg=None, pid_gains=None, out_dir=None):
-    """Run learned and PID controllers on identical plants; report both."""
+    """Run learned and PID controllers on identical plants; report both,
+    under the hash of the whole config document ``cfg_doc``."""
     metrics, files = {}, []
     for ctrl in ("pid", "learned"):
         rep = run_scenario(replace(scenario, controller=ctrl), rig_factory(), dynamics_model,
@@ -237,7 +238,7 @@ def compare_controllers(scenario, rig_factory, dynamics_model,
         metrics[f"settle_time_{ctrl}_s"] = rep.metrics["settle_time_s"]
         files.extend(rep.files)
     return RunReport(name=scenario.name, seed=scenario.seed,
-                     config_hash=config_hash(asdict(scenario)),
+                     config_hash=config_hash(cfg_doc),
                      metrics=metrics, files=files)
 
 

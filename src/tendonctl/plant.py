@@ -45,14 +45,9 @@ class MuscleSpec:
             raise ValueError(f"muscle {self.name}: k2 must be positive")
 
 
-@dataclass
-class ElasticElementParams:
-    k2: float
-    slack: float = 0.0
-
-
 def elastic_tension(params, stretch):
-    """Quadratic stiffening wire: zero force when slack, k2*stretch^2 taut."""
+    """Quadratic stiffening wire: zero force when slack, k2*stretch^2 taut.
+    ``params`` is any object with ``k2`` and ``slack``, such as the geometry."""
     s = np.maximum(0.0, np.asarray(stretch, dtype=float) - params.slack)
     return params.k2 * s * s
 

@@ -54,13 +54,15 @@ class IntersensoryModel(nets.JSONPersisted):
         return self.net.out_scaler.from_unit(self.net.forward(x))
 
     def length_jacobian_theta(self, theta, f):
-        """d l / d theta at (theta, f), in physical units (for the EKF)."""
+        """(l, d l / d theta) at (theta, f), in physical units, from one
+        forward pass: l is infer_command's; the pair is the EKF's h and H."""
         x = self.net.in_scaler.to_unit(self._pack(theta, f))
         in_scale = self.net.in_scaler.to_unit_scale()[:self.n_joints]
         out_scale = self.net.out_scaler.from_unit_scale()
-        _, pullback = self.net.vjp(x)
+        y, pullback = self.net.vjp(x)
         _, dx = pullback(np.eye(self.n_muscles), weights=False)
-        return out_scale[:, None] * dx[:, :self.n_joints] * in_scale
+        return (self.net.out_scaler.from_unit(y),
+                out_scale[:, None] * dx[:, :self.n_joints] * in_scale)
 
     def online_update(self, theta_meas, f_meas, l_meas):
         """One replay-mixed SGD step on a measured (theta, f, l) triple."""
@@ -108,7 +110,7 @@ class IntersensoryModel(nets.JSONPersisted):
 
 def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
                        hidden=(64, 64), train_cfg=None, loss_threshold=1e-4,
-                       online_cfg=None, seed=0):
+                       seed=0):
     """Pre-train the model on the man-made geometric muscle model.
 
     Dataset: joint-angle grid over the limits crossed with sampled tension
@@ -148,18 +150,18 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
     cfg = train_cfg or TrainConfig(learning_rate=0.3, batch_size=64,
                                    epochs=3000, seed=seed)
     Xu, Yu = in_scaler.to_unit(X), out_scaler.to_unit(Y)
-    history = nets.train(net, Xu, Yu, cfg)
+    (loss,) = nets.train(net, Xu, Yu, cfg)
     # annealed continuation: minibatch noise at a fixed rate floors the loss
     lr = cfg.learning_rate
-    while history[-1] > loss_threshold and lr > cfg.learning_rate / 100:
+    while loss > loss_threshold and lr > cfg.learning_rate / 100:
         lr /= 4.0
         cont = TrainConfig(learning_rate=lr, batch_size=cfg.batch_size,
                            epochs=max(1, cfg.epochs // 3), seed=cfg.seed + 1)
-        history = np.concatenate([history, nets.train(net, Xu, Yu, cont)])
-    if history[-1] > loss_threshold:
+        (loss,) = nets.train(net, Xu, Yu, cont)
+    if loss > loss_threshold:
         raise InitializationError(
-            f"geometric pre-training loss {history[-1]:.3e} above {loss_threshold:.1e}")
-    return IntersensoryModel(net, geom.n_joints, geom.n_muscles, online_cfg)
+            f"geometric pre-training loss {loss:.3e} above {loss_threshold:.1e}")
+    return IntersensoryModel(net, geom.n_joints, geom.n_muscles)
 
 
 # --------------------------------------------------------------------------
@@ -188,8 +190,7 @@ def ekf_step(est, model, l_meas, f_meas, dt):
     P = est.P + est.Q * dt
     theta = est.theta_est
 
-    h = model.infer_command(theta, f_meas)
-    H = model.length_jacobian_theta(theta, f_meas)
+    h, H = model.length_jacobian_theta(theta, f_meas)
     S = H @ P @ H.T + est.R
     try:
         K = np.linalg.solve(S, H @ P).T

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tendonctl import cli, harness, static_ctrl
-from tendonctl.dynamic_ctrl import DynamicsModel
+from tendonctl.dynamic_ctrl import DynamicsModel, train_dynamics
 from tendonctl.nets import FeatureScaler, MLPNetwork
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +62,22 @@ def test_defaults_are_those_of_the_parameters():
     assert cfg.scenario == harness.Scenario()
     assert cfg.rollout == {"horizon": harness.PEDAL_HORIZON, "duration_s": 60.0}
     assert cfg.pid_gains is None and not cfg.n_set
+
+
+def test_train_sections_shuffle_with_the_seed():
+    # train_dynamics's default TrainConfig, spelled out, trains the same model
+    default = {"learning_rate": 0.05, "batch_size": 32, "epochs": 150}
+    rng = np.random.default_rng(0)
+    dataset = (rng.normal(size=(40, 2)), rng.uniform(size=(40, 4)), rng.normal(size=(40, 4)))
+    nets = []
+    for dynamics in ({}, {"train": default}):
+        cfg = cli.read_config({"version": 1, "dynamics": dict(dynamics, rms_threshold=1e9)},
+                              seed=3)
+        nets.append(train_dynamics(dataset, (0.0, 1.0), seed=3, **cfg.train).net)
+    for a, b in zip(nets[0].weights, nets[1].weights):
+        assert np.array_equal(a, b)
+    assert cli.read_config({"version": 1, "static": {"train": default}},
+                           seed=3).static["train_cfg"].seed == 3
 
 
 @pytest.mark.parametrize("doc", [None, [], 5, "x", {"version": 2}, {}],
@@ -274,7 +290,7 @@ def test_cli_pretrains_h_with_init_from_geometry_defaults(argv, tmp_path, monkey
         raise static_ctrl.InitializationError("stopped")
 
     params = inspect.signature(static_ctrl.init_from_geometry).parameters
-    defaults = {k: p.default for k, p in params.items() if k not in ("geom", "online_cfg")}
+    defaults = {k: p.default for k, p in params.items() if k != "geom"}
     monkeypatch.setattr(static_ctrl, "init_from_geometry", stop)
     assert run_cli(tmp_path, argv + ["--seed", "3"]) == 1
     assert calls == [dict(defaults, seed=3)]

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from tendonctl.dynamic_ctrl import (DynamicsModel, OptimizerConfig,
-                                    PIDController, TrainingThresholdError,
-                                    adjacent_smoothness, collect_rollout,
+from tendonctl.dynamic_ctrl import (HOLDOUT_FRACTION, DynamicsModel,
+                                    OptimizerConfig, PIDController,
+                                    TrainingThresholdError, collect_rollout,
                                     mpc_control_step, optimize_commands,
                                     random_command_profile, shift_warm_start,
                                     train_dynamics)
@@ -48,16 +48,6 @@ def identity_model(N, lim=2.0):
                      out_scaler=FeatureScaler(-lim * np.ones(N),
                                               lim * np.ones(N)))
     return DynamicsModel(net, 1, N, (-lim, lim))
-
-
-# -- smoothness term -------------------------------------------------------
-
-
-def test_adjacent_smoothness_values():
-    assert adjacent_smoothness(np.array([1.0, 1.0, 1.0])) == 0.0
-    assert adjacent_smoothness(np.array([0.0, 1.0])) == 1.0
-    assert adjacent_smoothness(np.array([0.0, 2.0, 0.0])) == pytest.approx(4.0)
-    assert adjacent_smoothness(np.array([3.0])) == 0.0
 
 
 # -- rollout collection ----------------------------------------------------
@@ -132,6 +122,23 @@ def test_linear_stub_matches_analytic_rollout(trained_stub):
     for i in range(0, S0.shape[0], 37):
         pred = model.predict(S0[i], U[i])
         assert np.max(np.abs(pred - oracle.analytic_rollout(S0[i, 0], U[i]))) < 0.1
+
+
+def _reference_holdout_rms(model, dataset, seed):
+    """One-step RMS over the held-out windows, one predict per window (the
+    reference)."""
+    S0, U, Y = dataset
+    n = S0.shape[0]
+    hold = np.random.default_rng(seed).permutation(n)[:max(1, int(round(HOLDOUT_FRACTION * n)))]
+    pred1 = np.array([model.predict(S0[i], U[i])[0] for i in hold])
+    return float(np.sqrt(np.mean((pred1 - Y[hold, 0]) ** 2)))
+
+
+def test_holdout_rms_matches_per_window_reference(trained_stub):
+    _, model = trained_stub
+    ds = collect_rollout(StubRig(decay=0.9, gain=1.0), 60.0, seed=0, horizon=10)
+    np.testing.assert_allclose(model.holdout_rms, _reference_holdout_rms(model, ds, 0),
+                               rtol=1e-12, atol=0)
 
 
 def test_shuffled_dataset_trains_to_similar_loss():

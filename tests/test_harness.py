@@ -206,6 +206,21 @@ def test_cli_compare_assert_exit_2(tmp_path, monkeypatch):
     assert cli.main(["compare", "--assert", "--out", str(tmp_path)]) == 0
 
 
+def test_cli_compare_hashes_the_whole_config(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_stack", lambda args, cfg: (lambda: None, object()))
+    monkeypatch.setattr(harness, "run_scenario", lambda scenario, *a, **k: RunReport(
+        scenario.name, 0, "h", {"settle_time_s": 1.0}, []))
+    hashes = []
+    for kp in (0.01, 0.02):   # two configs that differ only outside the scenario
+        doc = {"version": 1, "pid": {"kp": kp, "ki": 0.02, "kd": 0.0}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        hashes.append(json.loads((tmp_path / "compare.json").read_text())["config_hash"])
+        assert hashes[-1] == config_hash(doc)
+    assert hashes[0] != hashes[1]
+
+
 @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
 def test_cli_experiment(name, tmp_path, static_model):
     model_path = tmp_path / "static.json"

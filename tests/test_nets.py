@@ -203,9 +203,9 @@ def test_gradients_validates_single_sample():
 
 
 def _reference_train(net, X, Y, cfg):
-    """Forward, batched weight gradients and SGD, one loop (the reference)."""
+    """Forward, batched weight gradients and SGD, one loop (the reference);
+    returns the full-set loss after the last epoch."""
     rng = np.random.default_rng(cfg.seed)
-    history = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], cfg.batch_size):
@@ -224,39 +224,59 @@ def _reference_train(net, X, Y, cfg):
             for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
                 w -= cfg.learning_rate * dw
                 b -= cfg.learning_rate * db
-        history[epoch] = mse_loss(net, X, Y)
-    return history
+    return mse_loss(net, X, Y)
+
+
+def _train_data():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, size=(70, 3))
+    return X, np.stack([np.sin(X[:, 0]) * X[:, 1], X[:, 2] ** 2], axis=1)
 
 
 def test_train_matches_reference_loop_bit_for_bit():
-    rng = np.random.default_rng(5)
-    X = rng.uniform(-1, 1, size=(70, 3))
-    Y = np.stack([np.sin(X[:, 0]) * X[:, 1], X[:, 2] ** 2], axis=1)
+    X, Y = _train_data()
     cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=15, seed=4)
     net = MLPNetwork.seeded([3, 8, 6, 2], seed=7)
     ref = MLPNetwork.seeded([3, 8, 6, 2], seed=7)
-    history = train(net, X, Y, cfg)
-    ref_history = _reference_train(ref, X, Y, cfg)
-    assert np.array_equal(history, ref_history)
+    loss = train(net, X, Y, cfg)
+    assert np.array_equal(loss, [_reference_train(ref, X, Y, cfg)])
     for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
         assert np.array_equal(a, b)
+
+
+def test_train_runs_one_forward_per_batch_and_one_for_the_loss():
+    X, Y = _train_data()
+    net = MLPNetwork.seeded([3, 8, 2], seed=7)
+    calls = []
+    forward = net.forward
+
+    def counting(x, acts=None):
+        calls.append(np.shape(x)[0])
+        return forward(x, acts)
+
+    net.forward = counting
+    loss = train(net, X, Y, TrainConfig(batch_size=16, epochs=15, seed=4))
+    # 70 rows: four batches of 16 and one of 6 per epoch, then the full set
+    assert calls == [16, 16, 16, 16, 6] * 15 + [70]
+    assert loss.shape == (1,)
 
 
 def test_exactly_fit_dataset_keeps_zero_loss():
     net = MLPNetwork([1, 1], [np.array([[2.0]])], [np.array([0.0])])
     X = np.array([[0.5], [-0.25], [1.0]])
-    history = train(net, X, 2.0 * X, TrainConfig(epochs=5, seed=0))
-    assert np.array_equal(history, np.zeros(5))
+    loss = train(net, X, 2.0 * X, TrainConfig(epochs=5, seed=0))
+    assert np.array_equal(loss, [0.0])
+    assert np.array_equal(net.weights[0], [[2.0]]) and np.array_equal(net.biases[0], [0.0])
 
 
 def test_linear_target_converges():
     # oracle: least squares on y = 2x has zero residual, SGD must reach it
     net = MLPNetwork.seeded([1, 1], seed=0)
     X = np.linspace(-1, 1, 100)[:, None]
-    history = train(net, X, 2.0 * X,
-                    TrainConfig(learning_rate=0.05, batch_size=32,
-                                epochs=500, seed=0))
-    assert history[-1] < 1e-6
+    loss = train(net, X, 2.0 * X,
+                 TrainConfig(learning_rate=0.05, batch_size=32,
+                             epochs=500, seed=0))
+    assert loss[0] < 1e-6
 
 
 def test_training_deterministic():
@@ -265,8 +285,11 @@ def test_training_deterministic():
         net = MLPNetwork.seeded([2, 6, 1], seed=9)
         X = np.random.default_rng(1).uniform(-1, 1, size=(64, 2))
         Y = (X[:, :1] * X[:, 1:]).copy()
-        runs.append(train(net, X, Y, TrainConfig(epochs=20, seed=9)))
-    assert np.array_equal(runs[0], runs[1])
+        runs.append((train(net, X, Y, TrainConfig(epochs=20, seed=9)), net))
+    (loss_a, a), (loss_b, b) = runs
+    assert np.array_equal(loss_a, loss_b)
+    for wa, wb in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(wa, wb)
 
 
 def test_train_rejects_bad_dataset():

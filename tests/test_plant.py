@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tendonctl.plant import (CTRL_DT, PLANT_DT, STEPS_PER_TICK, CarConfig,
-                             CarState, ElasticElementParams, JointRangeError,
+                             CarState, JointRangeError,
                              JointSpec, MuscleGeometry, MuscleSpec, Plant,
                              PlantState, car_drag, car_step,
                              default_ankle_geometry, default_ankle_plant_config,
@@ -24,25 +25,30 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 # -- elastic element -------------------------------------------------------
 
 
+def wire(k2, slack=0.0):
+    """The elastic parameters of one wire, as the elastic functions read them."""
+    return SimpleNamespace(k2=k2, slack=slack)
+
+
 def test_slack_wire_has_no_tension():
-    p = ElasticElementParams(k2=1e6)
+    p = wire(k2=1e6)
     assert elastic_tension(p, 0.0) == 0.0
     assert elastic_tension(p, -0.01) == 0.0
 
 
 def test_elastic_tension_value():
     # [DERIVED] direct formula evaluation: 1e6 * 0.01^2 = 100 N
-    p = ElasticElementParams(k2=1e6)
+    p = wire(k2=1e6)
     assert elastic_tension(p, 0.01) == pytest.approx(100.0)
 
 
 def test_doubling_stretch_quadruples_tension():
-    p = ElasticElementParams(k2=3e6, slack=0.0)
+    p = wire(k2=3e6, slack=0.0)
     assert elastic_tension(p, 0.02) == pytest.approx(4 * elastic_tension(p, 0.01))
 
 
 def test_elastic_elongation_inverts_tension():
-    p = ElasticElementParams(k2=2e6, slack=1e-3)
+    p = wire(k2=2e6, slack=1e-3)
     for f in (0.0, 1.0, 50.0, 400.0):
         s = elastic_elongation(p, f)
         assert elastic_tension(p, s) == pytest.approx(f, abs=1e-9)

@@ -204,7 +204,7 @@ def test_ekf_singular_innovation_raises(static_model):
 def test_length_jacobian_matches_finite_differences(static_model):
     theta = np.array([0.25])
     f = np.full(2, 30.0)
-    H = static_model.length_jacobian_theta(theta, f)
+    _, H = static_model.length_jacobian_theta(theta, f)
     h = 1e-5
     fd = (static_model.infer_command(theta + h, f)
           - static_model.infer_command(theta - h, f)) / (2 * h)
@@ -236,6 +236,8 @@ def test_length_jacobian_matches_per_muscle_loop(static_model):
         for _ in range(5):
             theta = rng.uniform(-0.5, 0.5, size=model.n_joints)
             f = rng.uniform(0.0, 100.0, size=model.n_muscles)
-            np.testing.assert_allclose(model.length_jacobian_theta(theta, f),
-                                       _reference_length_jacobian(model, theta, f),
+            l, H = model.length_jacobian_theta(theta, f)
+            np.testing.assert_allclose(H, _reference_length_jacobian(model, theta, f),
                                        rtol=1e-12, atol=0)
+            # the lengths of the same pass are infer_command's, bit for bit
+            assert np.array_equal(l, model.infer_command(theta, f))
