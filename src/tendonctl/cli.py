@@ -31,18 +31,18 @@ ROLLOUT_KEYS = ("version", "S0", "U", "Y", "u_lo", "u_hi")
 # The config schema.  Attribute of the read config: (section, what takes its
 # keys, the keys as "key" or "key:parameter", whether their numbers must be
 # positive).  A key left out takes its parameter's default; "train" holds a
-# TrainConfig.  Bound at import: a wrapped module attribute hides a signature.
+# TrainConfig's TRAIN_KEYS.  Bound at import: a wrapped module attribute hides
+# a signature.
 SCHEMA = {
     "scenario": ("scenario", Scenario, "name duration_s v_ref events controller", False),
     "static": ("static", static_ctrl.init_from_geometry,
-               "grid_points f_samples f_max hidden loss_threshold train:train_cfg", True),
+               "grid_points f_samples loss_threshold train:train_cfg", True),
     "rollout": ("dynamics", train_pedal_dynamics, "N:horizon rollout_s:duration_s", True),
     "train": ("dynamics", train_dynamics, "rms_threshold train:train_cfg", True),
     "opt_cfg": ("dynamics", OptimizerConfig, "alpha beta iterations", False),
     "pid_gains": ("pid", PIDController, "kp ki kd", False),
-    "ekf": ("ekf", harness.run_ekf_experiment,
-            "duration_s noise_m amp mean period f_bias q r burn_in_s", True),
 }
+TRAIN_KEYS = "learning_rate batch_size epochs"
 
 
 class ConfigError(Exception):
@@ -64,8 +64,8 @@ def _object(value, path):
 
 
 def _checked(path, value, kind, positive):
-    """``value`` if it is a JSON ``kind`` (a list for a tuple), else ConfigError."""
-    types = {float: (int, float), int: int, str: str, list: list, tuple: list}
+    """``value`` if it is a JSON ``kind``, else ConfigError."""
+    types = {float: (int, float), int: int, str: str, list: list}
     ok = isinstance(value, types.get(kind, ())) and not isinstance(value, bool)
     if ok and kind in (int, float):   # finite as a float: no NaN, inf or huge int
         ok = abs(value) <= sys.float_info.max and (value > 0 or not positive)
@@ -90,13 +90,9 @@ def _take(section, path, target, keys, positive, seed):
         elif key == "train":
             train = _object(section.pop(key), at)
             kwargs[p.name] = _build(at, TrainConfig, dict(_take(
-                train, at, TrainConfig, "learning_rate batch_size epochs", False, seed),
+                train, at, TrainConfig, TRAIN_KEYS, False, seed),
                 seed=seed))
             _done(train, f"{at}.")
-        elif isinstance(p.default, tuple):
-            value = _checked(at, section.pop(key), tuple, False)
-            kwargs[p.name] = tuple(_checked(f"{at}[{i}]", v, type(p.default[0]), positive)
-                                   for i, v in enumerate(value))
         else:
             kind = type(p.default) if p.annotation is p.empty else p.annotation
             kwargs[p.name] = _checked(at, section.pop(key), kind, positive)
@@ -123,9 +119,8 @@ def read_config(doc, seed=0):
         raise ConfigError(f"version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
     sections = {name: _object(top.pop(name), name)
                 for name, *_ in SCHEMA.values() if name in top}
-    ankle = default_ankle_geometry()   # also the EKF experiment's body
     cfg = argparse.Namespace(doc=doc, n_set="N" in sections.get("dynamics", {}),
-                             geom=ankle, car_cfg=CarConfig())
+                             geom=default_ankle_geometry(), car_cfg=CarConfig())
     if "plant" in top:
         try:
             cfg.geom, cfg.car_cfg = geometry_from_description(top.pop("plant"))
@@ -144,10 +139,6 @@ def read_config(doc, seed=0):
     n, rollout_s = cfg.rollout["horizon"], cfg.rollout["duration_s"]
     if int(round(rollout_s / CTRL_DT)) <= n:   # one window: none left to fit after hold-out
         raise ConfigError(f"dynamics.rollout_s: {rollout_s} s is not longer than N = {n} ticks")
-    lo, hi = ankle.limits_lo[0], ankle.limits_hi[0]
-    mean, amp = cfg.ekf["mean"], cfg.ekf["amp"]
-    if not (lo <= mean - amp and mean + amp <= hi):
-        raise ConfigError(f"ekf: mean +/- amp leaves the ankle's limits [{lo}, {hi}] rad")
     return cfg
 
 
@@ -287,9 +278,11 @@ EXPERIMENTS = ("relax", "safety", "ekf", "online")
 
 
 def cmd_experiment(args, cfg):
-    """One of EXPERIMENTS; --assert checks the limits of its acceptance
-    criterion in tests/test_acceptance.py."""
+    """One of EXPERIMENTS, each on its own body; --assert checks the limits
+    of its acceptance criterion in tests/test_acceptance.py."""
     run, files = args.experiment, []
+    if "plant" in cfg.doc:
+        raise ConfigError(f"plant: experiment {run} runs on its own body, not the config's")
     if run == "relax":      # MRC on a co-contracted arm, criterion 5
         files.append(_out_path(args, "relax_log.csv"))
         m = harness.run_mrc_experiment(log_path=files[0])
@@ -307,7 +300,7 @@ def cmd_experiment(args, cfg):
         ok = (m["max_dl_step_m"] <= 5e-4 + 1e-12
               and m["peak_tension_N"] < m["peak_tension_no_reflex_N"])
     elif run == "ekf":      # joint angle from noisy muscle lengths, criterion 7
-        m = harness.run_ekf_experiment(_static_model(args, cfg), seed=args.seed, **cfg.ekf)
+        m = harness.run_ekf_experiment(_static_model(args, cfg), seed=args.seed)
         ok = m["rmse_rad"] < 0.05
     else:                   # online learning of a +5 mm length offset, criterion 4
         m = harness.run_online_learning_experiment(_static_model(args, cfg))

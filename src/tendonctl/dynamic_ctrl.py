@@ -231,11 +231,11 @@ def optimize_commands(model, s0, s_ref, u_init, cfg):
     return best_u, best_loss, losses
 
 
-def shift_warm_start(u, fill=None):
+def shift_warm_start(u):
     """Receding-horizon shift: drop the executed head, repeat the tail."""
     out = np.empty_like(u)
     out[:-1] = u[1:]
-    out[-1] = u[-1] if fill is None else fill
+    out[-1] = u[-1]
     return out
 
 

@@ -19,8 +19,8 @@ from .plant import (CTRL_DT, CarConfig, CarState, Plant, car_step,
                     default_ankle_geometry, default_ankle_plant_config,
                     default_arm_geometry, default_arm_plant_config,
                     elastic_elongation)
-from .reflex import (RelaxationConfig, RelaxationState, SafetyReflex,
-                     TensionQP, mrc_step, safety_reflex_step, solve_tension_qp)
+from .reflex import (RELAX_F_MIN, RelaxationState, SafetyReflex, TensionQP,
+                     mrc_step, safety_reflex_step, solve_tension_qp)
 # not called here: perfbench/tracing.py wraps harness.init_from_geometry
 from .static_ctrl import EKFEstimator, ekf_step, init_from_geometry  # noqa: F401
 
@@ -80,10 +80,14 @@ def config_hash(obj):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def settle_time(times, values, ref, frac=0.2):
-    """First time after which |v - ref| stays within frac*|ref|.  inf if never."""
+SETTLE_BAND = 0.2   # settled: within this share of |ref|
+
+
+def settle_time(times, values, ref):
+    """First time after which |v - ref| stays within SETTLE_BAND * |ref|.
+    inf if never."""
     values = np.asarray(values, dtype=float)
-    band = frac * abs(ref)
+    band = SETTLE_BAND * abs(ref)
     ok = np.abs(values - ref) <= band
     if not ok[-1]:
         return math.inf
@@ -274,7 +278,6 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
 
     if constrained:
         p.constrained[:] = True
-    cfg = RelaxationConfig()
     mrc = RelaxationState.create(geom.n_muscles)
     mrc.mode = "static" if use_mrc else "moving"
     log_rows = []
@@ -284,9 +287,9 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
             qp = TensionQP(W1=np.full(geom.n_muscles, 1e-6),
                            W2=np.ones(geom.n_joints), G=G,
                            tau_nec=p.holding_torque(state.theta),
-                           f_min=np.full(geom.n_muscles, cfg.f_min))
+                           f_min=np.full(geom.n_muscles, RELAX_F_MIN))
             x = solve_tension_qp(qp)
-            mrc, offsets = mrc_step(mrc, cfg, state.f, state.theta, x,
+            mrc, offsets = mrc_step(mrc, state.f, state.theta, x,
                                     constrained=p.constrained)
         else:
             offsets = np.zeros(geom.n_muscles)
@@ -365,19 +368,23 @@ def run_online_learning_experiment(model, offset_m=0.005, n_updates=500):
             "peak_tension_before_N": peak_before, "peak_tension_after_N": peak_after}
 
 
-def run_ekf_experiment(model, duration_s=10.0, noise_m=5e-4, amp=0.4,
-                       mean=0.3, period=4.0, f_bias=20.0, q=1e-2, r=1e-6,
-                       burn_in_s=1.0, seed=0):
+# the EKF experiment's ankle sinusoid: mean and amplitude [rad], period [s];
+# and the EKF's process [rad^2/s] and length observation [m^2] noise
+EKF_MEAN, EKF_AMP, EKF_PERIOD = 0.3, 0.4, 4.0
+EKF_Q, EKF_R = 1e-2, 1e-6
+
+
+def run_ekf_experiment(model, duration_s=10.0, noise_m=5e-4, burn_in_s=1.0, seed=0):
     """Track a sinusoidal joint trajectory from noisy muscle lengths."""
     geom = default_ankle_geometry()
-    f_ref = np.full(geom.n_muscles, float(f_bias))
+    f_ref = np.full(geom.n_muscles, F_BIAS)
     rng = np.random.default_rng(seed)
-    est = EKFEstimator.create(np.full(geom.n_joints, float(mean)), q=q, r=r,
-                              n_muscles=geom.n_muscles)
+    est = EKFEstimator.create(np.full(geom.n_joints, EKF_MEAN), geom.n_muscles,
+                              q=EKF_Q, r=EKF_R)
     times = np.arange(int(round(duration_s / CTRL_DT))) * CTRL_DT
     errors = []
     for t in times:
-        theta_true = np.array([mean + amp * np.sin(2 * np.pi * t / period)])
+        theta_true = np.array([EKF_MEAN + EKF_AMP * np.sin(2 * np.pi * t / EKF_PERIOD)])
         l_meas = (_geometric_commands(geom, theta_true, f_ref)
                   + rng.normal(0.0, noise_m, size=geom.n_muscles))
         est = ekf_step(est, model, l_meas, f_ref, CTRL_DT)

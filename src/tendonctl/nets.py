@@ -95,14 +95,12 @@ class MLPNetwork:
     serialized models are self-contained.
     """
 
-    def __init__(self, layer_sizes, weights, biases, seed=0,
-                 in_scaler=None, out_scaler=None):
+    def __init__(self, layer_sizes, weights, biases, in_scaler=None, out_scaler=None):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output layer")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
-        self.seed = int(seed)
         self.in_scaler = in_scaler
         self.out_scaler = out_scaler
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -122,8 +120,7 @@ class MLPNetwork:
             bound = 1.0 / np.sqrt(fan_in)
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             biases.append(rng.uniform(-bound, bound, size=fan_out))
-        return cls(layer_sizes, weights, biases, seed=seed,
-                   in_scaler=in_scaler, out_scaler=out_scaler)
+        return cls(layer_sizes, weights, biases, in_scaler=in_scaler, out_scaler=out_scaler)
 
     @property
     def n_layers(self):
@@ -187,7 +184,6 @@ class MLPNetwork:
             "layer_sizes": self.layer_sizes,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "seed": self.seed,
         }
         if self.in_scaler is not None:
             d["input_range"] = {"lo": self.in_scaler.lo.tolist(),
@@ -199,6 +195,8 @@ class MLPNetwork:
 
     @classmethod
     def from_dict(cls, d):
+        """The net of a ``to_dict`` document; a ``"seed"`` entry, which older
+        documents carry, is not read."""
         check_version(d)
         in_s = out_s = None
         if "input_range" in d:
@@ -210,7 +208,7 @@ class MLPNetwork:
         return cls(d["layer_sizes"],
                    [np.array(w) for w in d["weights"]],
                    [np.array(b) for b in d["biases"]],
-                   seed=d.get("seed", 0), in_scaler=in_s, out_scaler=out_s)
+                   in_scaler=in_s, out_scaler=out_s)
 
 
 def mse_loss(net, X, Y):
@@ -218,9 +216,12 @@ def mse_loss(net, X, Y):
     return float(np.mean((pred - Y) ** 2))
 
 
-def sgd_step(net, weight_grads, lr):
-    """One in-place gradient step on every layer's weights and biases."""
-    for (w, b), (dw, db) in zip(zip(net.weights, net.biases), weight_grads):
+def sgd_step(net, X, Y, lr):
+    """One in-place SGD step at rate ``lr`` on the mean-squared error of the
+    batch (X, Y), over every layer's weights and biases."""
+    pred, pullback = net.vjp(X)
+    grads, _ = pullback(2.0 * (pred - Y) / Y.size)
+    for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
         w -= lr * dw
         b -= lr * db
 
@@ -247,15 +248,11 @@ def train(net, inputs, targets, cfg):
 
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
-    out_dim = Y.shape[1]
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            xb, yb = X[idx], Y[idx]
-            pred, pullback = net.vjp(xb)
-            grads, _ = pullback(2.0 * (pred - yb) / (idx.size * out_dim))
-            sgd_step(net, grads, cfg.learning_rate)
+            sgd_step(net, X[idx], Y[idx], cfg.learning_rate)
     return np.array([mse_loss(net, X, Y)])
 
 

@@ -17,6 +17,12 @@ PLANT_DT = 0.005     # integration step [s]
 STEPS_PER_TICK = 4
 DESCRIPTION_VERSION = 1
 
+# muscle servo and thermal model, shared by every body
+TAU_SERVO = 0.05     # muscle length servo time constant [s]
+KAPPA_HEAT = 2.0e-4  # [degC / (N^2 s)]
+KAPPA_COOL = 0.1     # [1/s]
+C_AMBIENT = 25.0     # [degC]
+
 
 class JointRangeError(ValueError):
     """Joint angle outside declared limits."""
@@ -159,12 +165,11 @@ class MuscleGeometry:
     def neutral_pose(self):
         return np.clip(np.zeros(self.n_joints), self.limits_lo, self.limits_hi)
 
-    def validate_antagonism(self, theta=None, tol=1e-6):
-        """Every joint must be spanned in both pull directions."""
-        theta = self.neutral_pose() if theta is None else np.asarray(theta, float)
-        G = self.jacobian(theta)
+    def validate_antagonism(self):
+        """Every joint must be spanned in both pull directions at the neutral pose."""
+        G = self.jacobian(self.neutral_pose())
         for j, spec in enumerate(self.joints):
-            if not (np.any(G[:, j] > tol) and np.any(G[:, j] < -tol)):
+            if not (np.any(G[:, j] > 1e-6) and np.any(G[:, j] < -1e-6)):
                 raise ValueError(f"joint {spec.name} is not spanned antagonistically")
 
 
@@ -174,10 +179,6 @@ class PlantConfig:
     damping: np.ndarray            # viscous joint damping [N m s/rad]
     spring_k: np.ndarray           # external load spring per joint [N m/rad]
     spring_theta0: np.ndarray      # spring rest pose [rad]
-    tau_servo: float = 0.05        # muscle length servo time constant [s]
-    kappa_heat: float = 2.0e-4     # [degC / (N^2 s)]
-    kappa_cool: float = 0.1        # [1/s]
-    c_ambient: float = 25.0        # [degC]
 
     def __post_init__(self):
         self.inertia = np.asarray(self.inertia, dtype=float)
@@ -219,7 +220,7 @@ class Plant:
                           theta_dot=np.zeros(self.geom.n_joints),
                           l=l_geo.copy(),
                           f=np.zeros(n_m),
-                          c=np.full(n_m, self.config.c_ambient))
+                          c=np.full(n_m, C_AMBIENT))
 
     def holding_torque(self, theta):
         """Muscle torque required to hold the pose against the load spring."""
@@ -242,7 +243,7 @@ class Plant:
         theta_dot, l_act, c, t = state.theta_dot, state.l, state.c, state.t
         thetas = np.empty((STEPS_PER_TICK, geom.n_joints))
         for k in range(STEPS_PER_TICK):
-            l_act = l_act + dt * (l_ref - l_act) / cfg.tau_servo
+            l_act = l_act + dt * (l_ref - l_act) / TAU_SERVO
             l_geo, G = geom._paths(theta, jacobian=True)
             f = elastic_tension(geom, l_geo - l_act)
             tau = (-G.T @ f - cfg.spring_k * (theta - cfg.spring_theta0)
@@ -254,8 +255,8 @@ class Plant:
             stop = (theta < geom.limits_lo) | (theta > geom.limits_hi)
             theta = np.clip(theta, geom.limits_lo, geom.limits_hi)
             theta_dot[stop] = 0.0
-            c = c + dt * (cfg.kappa_heat * f * f - cfg.kappa_cool * (c - cfg.c_ambient))
-            c = np.maximum(c, cfg.c_ambient)
+            c = c + dt * (KAPPA_HEAT * f * f - KAPPA_COOL * (c - C_AMBIENT))
+            c = np.maximum(c, C_AMBIENT)
             t = t + dt
             thetas[k] = theta
         return PlantState(theta=theta, theta_dot=theta_dot, l=l_act, f=f, c=c, t=t), thetas

@@ -145,11 +145,9 @@ def enumerate_bound_qp(qp):
 # muscle relaxation control
 
 
-@dataclass
-class RelaxationConfig:
-    rate: float = 2e-4            # elongation per control tick [m]
-    angle_threshold: float = 0.05  # allowed pose drift [rad]
-    f_min: float = 10.0           # advance to the next muscle below this [N]
+RELAX_RATE = 2e-4        # elongation per control tick [m]
+RELAX_DRIFT_MAX = 0.05   # allowed pose drift [rad]
+RELAX_F_MIN = 10.0       # advance to the next muscle below this [N]
 
 
 @dataclass
@@ -160,7 +158,7 @@ class RelaxationState:
     active_index: int = 0
     theta_hold: np.ndarray = None
     done: bool = False
-    _last: tuple = None           # (muscle, amount) of the latest increment
+    _last: int = None             # muscle of the latest increment
 
     @classmethod
     def create(cls, n_muscles):
@@ -174,13 +172,14 @@ class RelaxationState:
                                self.done, self._last)
 
 
-def mrc_step(state, cfg, f, theta, x_necessary, constrained=None):
+def mrc_step(state, f, theta, x_necessary, constrained=None):
     """One relaxation tick.  Returns (new state, offsets to add to commands).
 
-    Static mode: elongate the muscle with the lowest necessary tension
-    until its measured tension falls below f_min, then move to the next;
-    stop and roll back one increment once the pose drifts past the
-    threshold (externally constrained joints never count as drift).
+    Static mode: elongate the muscle with the lowest necessary tension by
+    RELAX_RATE per tick until its measured tension falls below RELAX_F_MIN,
+    then move to the next; stop and roll back one increment once the pose
+    drifts past RELAX_DRIFT_MAX (externally constrained joints never count
+    as drift).
     Moving mode: unwind offsets starting from the most necessary muscle.
     """
     s = state.copy()
@@ -202,19 +201,18 @@ def mrc_step(state, cfg, f, theta, x_necessary, constrained=None):
             return s, s.dl_relax.copy()
         watched = ~np.asarray(constrained, dtype=bool)
         drift = np.abs(theta - s.theta_hold)[watched]
-        if drift.size and np.max(drift) > cfg.angle_threshold:
+        if drift.size and np.max(drift) > RELAX_DRIFT_MAX:
             if s._last is not None:
-                i, amount = s._last
-                s.dl_relax[i] = max(0.0, s.dl_relax[i] - amount)
+                s.dl_relax[s._last] = max(0.0, s.dl_relax[s._last] - RELAX_RATE)
             s.done = True
             return s, s.dl_relax.copy()
         if s.active_index >= n:
             s.done = True
             return s, s.dl_relax.copy()
         i = int(s.order[s.active_index])
-        s.dl_relax[i] += cfg.rate
-        s._last = (i, cfg.rate)
-        if f[i] < cfg.f_min:
+        s.dl_relax[i] += RELAX_RATE
+        s._last = i
+        if f[i] < RELAX_F_MIN:
             s.active_index += 1
     else:  # moving: release the offsets, most necessary muscle first
         s.theta_hold = None
@@ -224,7 +222,7 @@ def mrc_step(state, cfg, f, theta, x_necessary, constrained=None):
             order = np.argsort(-x_necessary, kind="stable")
             for i in order:
                 if s.dl_relax[i] > 0:
-                    s.dl_relax[i] = max(0.0, s.dl_relax[i] - cfg.rate)
+                    s.dl_relax[i] = max(0.0, s.dl_relax[i] - RELAX_RATE)
                     break
     return s, s.dl_relax.copy()
 

@@ -7,7 +7,7 @@ muscle lengths/tensions with an EKF.
 """
 
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +19,23 @@ class InitializationError(RuntimeError):
     """Geometric pre-training failed to reach the loss threshold."""
 
 
-@dataclass
-class OnlineConfig:
-    buffer_capacity: int = 2000
-    batch_size: int = 16
-    learning_rate: float = 0.05
-    new_fraction: float = 0.5   # share of the update batch taken from the newest samples
-    seed: int = 0
+HIDDEN = (64, 64)   # h's hidden layer sizes
+F_MAX = 120.0       # top of the pre-training tensions and of h's tension input [N]
+
+# online refinement: replay buffer size; SGD batch size, and how many of its
+# samples are the newest (the rest are replayed at random); learning rate
+ONLINE_CAPACITY, ONLINE_BATCH, ONLINE_NEWEST, ONLINE_LR = 2000, 16, 8, 0.05
 
 
 class IntersensoryModel(nets.JSONPersisted):
     """h(theta, f) -> l with a replay buffer for online refinement."""
 
-    def __init__(self, net, n_joints, n_muscles, online_cfg=None):
+    def __init__(self, net, n_joints, n_muscles):
         self.net = net
         self.n_joints = n_joints
         self.n_muscles = n_muscles
-        self.online_cfg = online_cfg or OnlineConfig()
-        self.buffer = deque(maxlen=self.online_cfg.buffer_capacity)
-        self._rng = np.random.default_rng(self.online_cfg.seed)
+        self.buffer = deque(maxlen=ONLINE_CAPACITY)
+        self._rng = np.random.default_rng(0)
 
     def _pack(self, theta, f):
         theta = np.asarray(theta, dtype=float)
@@ -72,11 +70,9 @@ class IntersensoryModel(nets.JSONPersisted):
         x = self._pack(theta_meas, f_meas)
         self.buffer.append((x, l_meas.copy()))
 
-        cfg = self.online_cfg
-        n_new = max(1, int(round(cfg.batch_size * cfg.new_fraction)))
-        n_new = min(n_new, len(self.buffer))
+        n_new = min(ONLINE_NEWEST, len(self.buffer))
         newest = list(self.buffer)[-n_new:]
-        n_replay = min(cfg.batch_size - n_new, len(self.buffer))
+        n_replay = min(ONLINE_BATCH - n_new, len(self.buffer))
         if n_replay > 0:
             idx = self._rng.integers(0, len(self.buffer), size=n_replay)
             replay = [self.buffer[i] for i in idx]
@@ -85,10 +81,7 @@ class IntersensoryModel(nets.JSONPersisted):
         batch = newest + replay
         X = self.net.in_scaler.to_unit(np.array([b[0] for b in batch]))
         Y = self.net.out_scaler.to_unit(np.array([b[1] for b in batch]))
-
-        pred, pullback = self.net.vjp(X)
-        grads, _ = pullback(2.0 * (pred - Y) / (len(batch) * self.n_muscles))
-        nets.sgd_step(self.net, grads, cfg.learning_rate)
+        nets.sgd_step(self.net, X, Y, ONLINE_LR)
 
     def prediction_error(self, theta, f, l_meas):
         return np.abs(self.infer_command(theta, f) - np.asarray(l_meas, float))
@@ -98,19 +91,18 @@ class IntersensoryModel(nets.JSONPersisted):
     def to_dict(self):
         # the replay buffer is transient and deliberately not persisted
         return {"version": nets.VERSION, "n_joints": self.n_joints,
-                "n_muscles": self.n_muscles, "net": self.net.to_dict(),
-                "online": asdict(self.online_cfg)}
+                "n_muscles": self.n_muscles, "net": self.net.to_dict()}
 
     @classmethod
     def from_dict(cls, d):
+        """The model of a ``to_dict`` document; an ``"online"`` entry, which
+        older documents carry, is not read."""
         nets.check_version(d)
-        return cls(MLPNetwork.from_dict(d["net"]), d["n_joints"], d["n_muscles"],
-                   OnlineConfig(**d["online"]))
+        return cls(MLPNetwork.from_dict(d["net"]), d["n_joints"], d["n_muscles"])
 
 
-def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
-                       hidden=(64, 64), train_cfg=None, loss_threshold=1e-4,
-                       seed=0):
+def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,
+                       loss_threshold=1e-4, seed=0):
     """Pre-train the model on the man-made geometric muscle model.
 
     Dataset: joint-angle grid over the limits crossed with sampled tension
@@ -126,7 +118,7 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
     for theta in thetas:
         l_geo = geom.muscle_lengths(theta)
         # sample uniformly in elongation (the steep region sits near f = 0)
-        e_max = np.sqrt(f_max / geom.k2)
+        e_max = np.sqrt(F_MAX / geom.k2)
         e_rows = np.vstack([np.zeros(geom.n_muscles),
                             rng.uniform(0.0, 1.0, size=(f_samples - 1, geom.n_muscles)) * e_max])
         for e in e_rows:
@@ -141,10 +133,10 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, f_max=120.0,
     pad = 0.1 * (l_hi - l_lo)
     in_scaler = FeatureScaler(
         np.concatenate([geom.limits_lo, np.zeros(geom.n_muscles)]),
-        np.concatenate([geom.limits_hi, np.full(geom.n_muscles, f_max)]))
+        np.concatenate([geom.limits_hi, np.full(geom.n_muscles, F_MAX)]))
     out_scaler = FeatureScaler(l_lo - pad, l_hi + pad)
 
-    layer_sizes = [geom.n_joints + geom.n_muscles, *hidden, geom.n_muscles]
+    layer_sizes = [geom.n_joints + geom.n_muscles, *HIDDEN, geom.n_muscles]
     net = MLPNetwork.seeded(layer_sizes, seed=seed,
                             in_scaler=in_scaler, out_scaler=out_scaler)
     cfg = train_cfg or TrainConfig(learning_rate=0.3, batch_size=64,
@@ -176,17 +168,22 @@ class EKFEstimator:
     R: np.ndarray     # observation noise [m^2]
 
     @classmethod
-    def create(cls, theta0, q=1e-4, r=1e-6, p0=1e-2, n_muscles=None):
+    def create(cls, theta0, n_muscles, q=1e-4, r=1e-6, p0=1e-2):
         theta0 = np.asarray(theta0, dtype=float)
         n = theta0.size
-        m = n_muscles if n_muscles is not None else n
         return cls(theta_est=theta0.copy(), P=p0 * np.eye(n),
-                   Q=q * np.eye(n), R=r * np.eye(m))
+                   Q=q * np.eye(n), R=r * np.eye(n_muscles))
 
 
 def ekf_step(est, model, l_meas, f_meas, dt):
-    """Random-walk predict + length-observation update.  Returns a new estimator."""
+    """Random-walk predict + length-observation update.  Returns a new estimator.
+    Raises ValueError unless ``l_meas`` has one length and ``est.R`` one row
+    and column per muscle of the model."""
     l_meas = np.asarray(l_meas, dtype=float)
+    m = model.n_muscles
+    if l_meas.shape != (m,) or est.R.shape != (m, m):
+        raise ValueError(f"{m} muscles, but {l_meas.size} measured lengths and "
+                         f"R of shape {est.R.shape}")
     P = est.P + est.Q * dt
     theta = est.theta_est
 

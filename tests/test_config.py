@@ -4,6 +4,7 @@ checked against the config, one pre-training call, README commands."""
 import copy
 import inspect
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -157,10 +158,14 @@ def test_reader_returns_or_raises_config_error(doc):
     ({"plant": dict(ANKLE, car={"delay_s": -1.0})}, "car.delay_s"),
     ({"plant": dict(ANKLE, car={"drag_coeff": -2.0})}, "car.drag_coeff"),
     ({"plant": dict(ANKLE, car={"creep_kmh": -2.0})}, "car.creep_kmh"),
+    ({"ekf": {"noise_m": 1e-3}}, "ekf: unknown key"),
+    ({"static": {"hidden": [16]}}, "static.hidden: unknown key"),
+    ({"static": {"f_max": 100.0}}, "static.f_max: unknown key"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
         "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
-        "negative-car-creep"])
+        "negative-car-creep", "removed-ekf-section", "removed-static-hidden",
+        "removed-static-f_max"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
@@ -170,19 +175,24 @@ def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsy
     (["experiment", "ekf", "--seed", "-1"], {}, "--seed"),
     (["collect"], {"dynamics": {"rollout_s": 0.1}}, "dynamics.rollout_s"),
     (["run"], {"dynamics": {"N": 10, "rollout_s": 0.2}}, "dynamics.rollout_s"),
-    (["experiment", "ekf"], {"ekf": {"mean": 0.7}}, "ekf"),
-], ids=["negative-seed", "rollout-shorter-than-horizon", "rollout-of-one-window",
-        "ekf-outside-joint-limits"])
+], ids=["negative-seed", "rollout-shorter-than-horizon", "rollout-of-one-window"])
 def test_cli_run_time_defect_exits_1(argv, sections, named, tmp_path, no_training, capsys):
     # each of these used to pass the reader and end in a traceback later
     code = run_cli(tmp_path, argv, **sections)
     assert_one_line_error(code, capsys, named)
 
 
-def test_rollout_of_two_windows_and_ekf_at_the_limits_read():
-    cfg = cli.read_config({"version": 1, "dynamics": {"N": 10, "rollout_s": 0.22},
-                           "ekf": {"mean": 0.3, "amp": 0.5}})
-    assert cfg.rollout["duration_s"] == 0.22 and cfg.ekf["amp"] == 0.5
+def test_rollout_of_two_windows_reads():
+    cfg = cli.read_config({"version": 1, "dynamics": {"N": 10, "rollout_s": 0.22}})
+    assert cfg.rollout["duration_s"] == 0.22
+
+
+@pytest.mark.parametrize("name", cli.EXPERIMENTS)
+def test_cli_experiment_with_a_plant_section_exits_1(name, tmp_path, no_training, capsys):
+    # each experiment builds its own body; a config body would be ignored, or
+    # meet an h pre-trained on it and end in a traceback
+    code = run_cli(tmp_path, ["experiment", name], plant=ANKLE)
+    assert_one_line_error(code, capsys, "plant", name)
 
 
 # -- a loaded dynamics model sets the horizon --------------------------------
@@ -303,6 +313,29 @@ def readme_commands():
     lines = (ROOT / "README.md").read_text().splitlines()
     return [shlex.split(line, comments=True) for line in lines
             if line.startswith("tendonctl ")]
+
+
+def readme_config_table():
+    """Keys per section in the README's config table; a row without a
+    section continues the one above it."""
+    lines = (ROOT / "README.md").read_text().split("### Config schema")[1].splitlines()
+    table, section = {}, None
+    for line in lines:
+        if not line.startswith("| ") or line.startswith("| section"):
+            continue
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        section = re.findall(r"`([^`]+)`", cells[0])[0] if cells[0] else section
+        keys = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cells[1]))
+        table.setdefault(section, set()).update(keys)
+    return table
+
+
+def test_readme_config_table_lists_the_keys_the_reader_takes():
+    taken = {"train": set(cli.TRAIN_KEYS.split()), "plant": set(ANKLE)}
+    for section, _, keys, _ in cli.SCHEMA.values():
+        taken.setdefault(section, set()).update(k.partition(":")[0] for k in keys.split())
+    cli.read_config({"version": 1, "plant": ANKLE})   # the fixture sets every plant key
+    assert readme_config_table() == taken
 
 
 def test_readme_commands_parse_and_their_configs_read():

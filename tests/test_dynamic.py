@@ -304,7 +304,6 @@ def test_optimizer_config_validation():
 def test_shift_warm_start():
     u = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(shift_warm_start(u), [2.0, 3.0, 3.0])
-    assert np.array_equal(shift_warm_start(u, fill=0.5), [2.0, 3.0, 0.5])
 
 
 def test_mpc_holds_equilibrium(trained_stub):

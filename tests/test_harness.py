@@ -239,7 +239,7 @@ def test_cli_init_model_roundtrip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "version": 1,
-        "static": {"grid_points": 5, "f_samples": 4, "hidden": [16],
+        "static": {"grid_points": 5, "f_samples": 4,
                    "loss_threshold": 10.0,
                    "train": {"learning_rate": 0.1, "epochs": 30}},
     }))
@@ -253,7 +253,7 @@ def test_cli_init_model_roundtrip(tmp_path):
 # -- CLI: one pre-training per run, errors end in exit 1 ------------------
 
 
-TINY_STATIC = {"grid_points": 3, "f_samples": 2, "hidden": [8],
+TINY_STATIC = {"grid_points": 3, "f_samples": 2,
                "loss_threshold": 10.0,
                "train": {"learning_rate": 0.1, "batch_size": 16, "epochs": 2}}
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tendonctl.plant import (CTRL_DT, PLANT_DT, STEPS_PER_TICK, CarConfig,
-                             CarState, JointRangeError,
+from tendonctl.plant import (C_AMBIENT, CTRL_DT, KAPPA_COOL, KAPPA_HEAT, PLANT_DT,
+                             STEPS_PER_TICK, TAU_SERVO, CarConfig, CarState, JointRangeError,
                              JointSpec, MuscleGeometry, MuscleSpec, Plant,
                              PlantState, car_drag, car_step,
                              default_ankle_geometry, default_ankle_plant_config,
@@ -268,14 +268,13 @@ def test_shortening_agonist_moves_joint_along_minus_G():
 def test_thermal_model_fixed_point():
     # [DERIVED] ODE fixed point: c* = kappa_h f^2 / kappa_c + c_ambient
     geom, p = make_ankle_plant()
-    cfg = p.config
     state = p.initial_state()
     state.f[:] = 100.0
     c = state.c[0]
-    expect = cfg.kappa_heat * 100.0 ** 2 / cfg.kappa_cool + cfg.c_ambient
+    expect = KAPPA_HEAT * 100.0 ** 2 / KAPPA_COOL + C_AMBIENT
     prev = c
     for _ in range(20000):
-        c = c + 0.005 * (cfg.kappa_heat * 1e4 - cfg.kappa_cool * (c - cfg.c_ambient))
+        c = c + 0.005 * (KAPPA_HEAT * 1e4 - KAPPA_COOL * (c - C_AMBIENT))
         assert c >= prev - 1e-12       # monotone rise toward the fixed point
         prev = c
     assert abs(c - expect) < 0.05
@@ -297,7 +296,7 @@ def _reference_step(p, state, l_ref, dt=PLANT_DT):
     """One semi-implicit Euler step of ``dt``: the one-step plant as it
     stood before a control tick became one call."""
     cfg = p.config
-    l_act = state.l + dt * (l_ref - state.l) / cfg.tau_servo
+    l_act = state.l + dt * (l_ref - state.l) / TAU_SERVO
     stretch = p.geom.muscle_lengths(state.theta) - l_act
     s = np.maximum(0.0, stretch - p.geom.slack)
     f = p.geom.k2 * s * s
@@ -311,8 +310,8 @@ def _reference_step(p, state, l_ref, dt=PLANT_DT):
     high = theta > p.geom.limits_hi
     theta = np.clip(theta, p.geom.limits_lo, p.geom.limits_hi)
     theta_dot[low | high] = 0.0
-    c = state.c + dt * (cfg.kappa_heat * f * f - cfg.kappa_cool * (state.c - cfg.c_ambient))
-    c = np.maximum(c, cfg.c_ambient)
+    c = state.c + dt * (KAPPA_HEAT * f * f - KAPPA_COOL * (state.c - C_AMBIENT))
+    c = np.maximum(c, C_AMBIENT)
     return PlantState(theta=theta, theta_dot=theta_dot, l=l_act, f=f, c=c, t=state.t + dt)
 
 

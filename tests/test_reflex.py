@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tendonctl.reflex import (RelaxationConfig, RelaxationState, SafetyReflex,
-                              TensionQP, enumerate_bound_qp, kkt_residual,
+from tendonctl.reflex import (RELAX_DRIFT_MAX, RELAX_F_MIN, RELAX_RATE, RelaxationState,
+                              SafetyReflex, TensionQP, enumerate_bound_qp, kkt_residual,
                               mrc_step, safety_reflex_step, solve_tension_qp)
 
 
@@ -91,9 +91,7 @@ def test_qp_feasibility_property(seed):
 
 def test_mrc_moving_mode_noop_when_zero():
     state = RelaxationState.create(4)
-    cfg = RelaxationConfig()
-    new, offsets = mrc_step(state, cfg, np.full(4, 30.0), np.zeros(2),
-                            np.arange(4.0))
+    new, offsets = mrc_step(state, np.full(4, 30.0), np.zeros(2), np.arange(4.0))
     assert np.array_equal(offsets, np.zeros(4))
     assert np.array_equal(new.dl_relax, np.zeros(4))
 
@@ -101,73 +99,66 @@ def test_mrc_moving_mode_noop_when_zero():
 def test_mrc_static_elongates_lowest_necessity_first():
     state = RelaxationState.create(3)
     state.mode = "static"
-    cfg = RelaxationConfig(rate=1e-4, f_min=10.0)
     x_nec = np.array([30.0, 5.0, 20.0])   # muscle 1 is least necessary
-    f_high = np.full(3, 50.0)
-    new, offsets = mrc_step(state, cfg, f_high, np.zeros(2), x_nec)
-    assert offsets[1] == pytest.approx(cfg.rate)
+    f_high = np.full(3, 5 * RELAX_F_MIN)
+    new, offsets = mrc_step(state, f_high, np.zeros(2), x_nec)
+    assert offsets[1] == pytest.approx(RELAX_RATE)
     assert offsets[0] == offsets[2] == 0.0
-    # stays on the same muscle while its tension is above f_min
-    new, offsets = mrc_step(new, cfg, f_high, np.zeros(2), x_nec)
-    assert offsets[1] == pytest.approx(2 * cfg.rate)
-    # advances once the tension drops below f_min
-    f_low = np.array([50.0, 5.0, 50.0])
-    new, _ = mrc_step(new, cfg, f_low, np.zeros(2), x_nec)
-    new, offsets = mrc_step(new, cfg, f_high, np.zeros(2), x_nec)
-    assert offsets[2] == pytest.approx(cfg.rate)   # next-lowest muscle
+    # stays on the same muscle while its tension is above RELAX_F_MIN
+    new, offsets = mrc_step(new, f_high, np.zeros(2), x_nec)
+    assert offsets[1] == pytest.approx(2 * RELAX_RATE)
+    # advances once the tension drops below RELAX_F_MIN
+    f_low = np.array([50.0, RELAX_F_MIN / 2, 50.0])
+    new, _ = mrc_step(new, f_low, np.zeros(2), x_nec)
+    new, offsets = mrc_step(new, f_high, np.zeros(2), x_nec)
+    assert offsets[2] == pytest.approx(RELAX_RATE)   # next-lowest muscle
 
 
 def test_mrc_drift_stops_and_rolls_back():
     state = RelaxationState.create(2)
     state.mode = "static"
-    cfg = RelaxationConfig(rate=1e-4, angle_threshold=0.05)
     x_nec = np.array([1.0, 2.0])
     f = np.full(2, 50.0)
-    state, _ = mrc_step(state, cfg, f, np.zeros(1), x_nec)
+    state, _ = mrc_step(state, f, np.zeros(1), x_nec)
     dl_before = state.dl_relax.copy()
-    drifted = np.array([0.06])
-    state, offsets = mrc_step(state, cfg, f, drifted, x_nec)
+    drifted = np.array([RELAX_DRIFT_MAX + 0.01])
+    state, offsets = mrc_step(state, f, drifted, x_nec)
     assert state.done
-    assert offsets[0] == pytest.approx(dl_before[0] - cfg.rate)
+    assert offsets[0] == pytest.approx(dl_before[0] - RELAX_RATE)
     # frozen afterwards even if the pose returns
-    state, offsets2 = mrc_step(state, cfg, f, np.zeros(1), x_nec)
+    state, offsets2 = mrc_step(state, f, np.zeros(1), x_nec)
     assert np.array_equal(offsets2, offsets)
 
 
 def test_mrc_constrained_joints_ignore_drift():
     state = RelaxationState.create(2)
     state.mode = "static"
-    cfg = RelaxationConfig(rate=1e-4, angle_threshold=0.05)
     x_nec = np.array([1.0, 2.0])
     f = np.full(2, 50.0)
-    state, _ = mrc_step(state, cfg, f, np.zeros(1), x_nec,
-                        constrained=np.array([True]))
-    state, offsets = mrc_step(state, cfg, f, np.array([0.5]), x_nec,
+    state, _ = mrc_step(state, f, np.zeros(1), x_nec, constrained=np.array([True]))
+    state, offsets = mrc_step(state, f, np.array([10 * RELAX_DRIFT_MAX]), x_nec,
                               constrained=np.array([True]))
     assert not state.done
-    assert offsets[0] == pytest.approx(2 * cfg.rate)
+    assert offsets[0] == pytest.approx(2 * RELAX_RATE)
 
 
 def test_mrc_moving_unwinds_most_necessary_first():
     state = RelaxationState.create(3)
-    state.dl_relax = np.array([3e-4, 2e-4, 1e-4])
+    state.dl_relax = np.array([3.0, 2.0, 1.0]) * RELAX_RATE
     state.mode = "moving"
-    cfg = RelaxationConfig(rate=1e-4)
     x_nec = np.array([5.0, 30.0, 10.0])
-    state, offsets = mrc_step(state, cfg, np.zeros(3), np.zeros(2), x_nec)
-    assert offsets[1] == pytest.approx(1e-4)   # highest necessity unwound first
-    assert offsets[0] == pytest.approx(3e-4)
+    state, offsets = mrc_step(state, np.zeros(3), np.zeros(2), x_nec)
+    assert offsets[1] == pytest.approx(RELAX_RATE)   # highest necessity unwound first
+    assert offsets[0] == pytest.approx(3 * RELAX_RATE)
     assert np.all(state.dl_relax >= 0.0)
 
 
 def test_mrc_offsets_never_negative():
     state = RelaxationState.create(2)
-    state.dl_relax = np.array([5e-5, 0.0])
+    state.dl_relax = np.array([RELAX_RATE / 4, 0.0])
     state.mode = "moving"
-    cfg = RelaxationConfig(rate=1e-4)
     for _ in range(5):
-        state, offsets = mrc_step(state, cfg, np.zeros(2), np.zeros(1),
-                                  np.array([1.0, 2.0]))
+        state, offsets = mrc_step(state, np.zeros(2), np.zeros(1), np.array([1.0, 2.0]))
         assert np.all(offsets >= 0.0)
 
 

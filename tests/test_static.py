@@ -1,6 +1,7 @@
 """Intersensory model: geometric init, inference, online learning, EKF."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
 from tendonctl.plant import (Plant, default_ankle_geometry,
                              default_ankle_plant_config, elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
-                                   IntersensoryModel, OnlineConfig, ekf_step,
+                                   IntersensoryModel, ONLINE_CAPACITY, ekf_step,
                                    init_from_geometry)
 
 
@@ -37,7 +38,7 @@ def test_tension_shifts_length_by_elastic_elongation(static_model, ankle_geom):
 
 
 def test_init_seeded_twice_identical(ankle_geom):
-    kwargs = dict(grid_points=5, f_samples=4, hidden=(16,),
+    kwargs = dict(grid_points=5, f_samples=4,
                   train_cfg=TrainConfig(learning_rate=0.1, epochs=40, seed=0),
                   loss_threshold=10.0, seed=0)
     a = init_from_geometry(ankle_geom, **kwargs)
@@ -47,8 +48,9 @@ def test_init_seeded_twice_identical(ankle_geom):
 
 
 def test_init_threshold_failure_raises(ankle_geom):
+    # one epoch at a rate of 1e-6 leaves the seeded net's loss far above 1e-12
     with pytest.raises(InitializationError):
-        init_from_geometry(ankle_geom, grid_points=5, f_samples=4, hidden=(4,),
+        init_from_geometry(ankle_geom, grid_points=5, f_samples=4,
                            train_cfg=TrainConfig(learning_rate=1e-6, epochs=1),
                            loss_threshold=1e-12)
 
@@ -118,17 +120,50 @@ def test_online_update_learns_injected_offset(static_model):
     assert err[0] < 1e-3
 
 
-def test_buffer_evicts_oldest_first():
-    from tendonctl.nets import MLPNetwork, FeatureScaler
+def _unit_model():
     net = MLPNetwork.seeded([3, 4, 2], seed=0,
                             in_scaler=FeatureScaler(-np.ones(3), np.ones(3)),
                             out_scaler=FeatureScaler(-np.ones(2), np.ones(2)))
-    model = IntersensoryModel(net, 1, 2, OnlineConfig(buffer_capacity=3))
-    for k in range(5):
-        model.online_update(np.array([0.1 * k]), np.zeros(2), np.zeros(2))
-    assert len(model.buffer) == 3
+    return IntersensoryModel(net, 1, 2)
+
+
+def test_buffer_evicts_oldest_first():
+    model = _unit_model()
+    for k in range(ONLINE_CAPACITY + 2):
+        model.online_update(np.array([k / ONLINE_CAPACITY]), np.zeros(2), np.zeros(2))
+    assert len(model.buffer) == ONLINE_CAPACITY
     oldest_theta = model.buffer[0][0][0]
-    assert oldest_theta == pytest.approx(0.2)   # triples 0 and 1 evicted
+    assert oldest_theta == 2 / ONLINE_CAPACITY   # triples 0 and 1 evicted
+
+
+def _reference_online_update(model, rng, buffer, theta, f, l):
+    """The update as it stood with its own batch step (the reference): 8
+    newest triples, 8 replayed, one MSE step at rate 0.05."""
+    buffer.append((np.concatenate([theta, f]), l.copy()))
+    n_new = min(8, len(buffer))
+    newest = buffer[-n_new:]
+    n_replay = min(16 - n_new, len(buffer))
+    replay = [buffer[i] for i in rng.integers(0, len(buffer), size=n_replay)] \
+        if n_replay > 0 else []
+    batch = newest + replay
+    X = model.net.in_scaler.to_unit(np.array([b[0] for b in batch]))
+    Y = model.net.out_scaler.to_unit(np.array([b[1] for b in batch]))
+    pred, pullback = model.net.vjp(X)
+    grads, _ = pullback(2.0 * (pred - Y) / (len(batch) * model.n_muscles))
+    for (w, b), (dw, db) in zip(zip(model.net.weights, model.net.biases), grads):
+        w -= 0.05 * dw
+        b -= 0.05 * db
+
+
+def test_online_update_matches_reference_bit_for_bit():
+    model, ref = _unit_model(), _unit_model()
+    rng, buffer = np.random.default_rng(0), []
+    data = np.random.default_rng(9).uniform(-1, 1, size=(30, 5))
+    for row in data:
+        model.online_update(row[:1], row[1:3], row[3:])
+        _reference_online_update(ref, rng, buffer, row[:1], row[1:3], row[3:])
+    for a, b in zip(model.net.weights + model.net.biases, ref.net.weights + ref.net.biases):
+        assert np.array_equal(a, b)
 
 
 def test_online_update_validates_dimensions(static_model):
@@ -152,6 +187,18 @@ def test_model_round_trip(tmp_path, static_model):
     assert len(back.buffer) == 0   # replay buffer is transient
 
 
+def test_older_document_with_online_and_seed_loads_bit_identically(static_model):
+    # documents written before the online settings and the net seed became
+    # constants carry both; they load and infer as before
+    d = static_model.to_dict()
+    d["online"] = {"buffer_capacity": 2000, "batch_size": 16, "learning_rate": 0.05,
+                   "new_fraction": 0.5, "seed": 0}
+    d["net"]["seed"] = 0
+    back = IntersensoryModel.from_dict(json.loads(json.dumps(d)))
+    theta, f = np.array([0.4]), np.full(2, 55.0)
+    assert np.array_equal(back.infer_command(theta, f), static_model.infer_command(theta, f))
+
+
 def test_from_dict_rejects_unknown_version(static_model):
     d = static_model.to_dict()
     d["version"] = 99
@@ -163,7 +210,7 @@ def test_from_dict_rejects_unknown_version(static_model):
 
 
 def test_ekf_zero_innovation_keeps_estimate(static_model):
-    est = EKFEstimator.create(np.array([0.3]), n_muscles=2)
+    est = EKFEstimator.create(np.array([0.3]), 2)
     f = np.full(2, 20.0)
     l = static_model.infer_command(est.theta_est, f)
     out = ekf_step(est, static_model, l, f, 0.02)
@@ -171,7 +218,7 @@ def test_ekf_zero_innovation_keeps_estimate(static_model):
 
 
 def test_ekf_covariance_stays_psd(static_model):
-    est = EKFEstimator.create(np.array([0.3]), n_muscles=2)
+    est = EKFEstimator.create(np.array([0.3]), 2)
     rng = np.random.default_rng(0)
     f = np.full(2, 20.0)
     base = static_model.infer_command(np.array([0.3]), f)
@@ -187,18 +234,29 @@ def test_ekf_round_trip_from_model_lengths(static_model):
     f = np.full(2, 20.0)
     for theta_true in (0.1, 0.35, 0.6):
         l = static_model.infer_command(np.array([theta_true]), f)
-        est = EKFEstimator.create(np.array([0.3]), q=1e-2, n_muscles=2)
+        est = EKFEstimator.create(np.array([0.3]), 2, q=1e-2)
         for _ in range(100):
             est = ekf_step(est, static_model, l, f, 0.02)
         assert abs(est.theta_est[0] - theta_true) < 0.02
 
 
 def test_ekf_singular_innovation_raises(static_model):
-    est = EKFEstimator.create(np.array([0.3]), q=0.0, r=0.0, p0=0.0, n_muscles=2)
+    est = EKFEstimator.create(np.array([0.3]), 2, q=0.0, r=0.0, p0=0.0)
     f = np.full(2, 20.0)
     l = static_model.infer_command(est.theta_est, f)
     with pytest.raises(ValueError):
         ekf_step(est, static_model, l, f, 0.02)
+
+
+def test_ekf_rejects_r_or_lengths_of_another_size(static_model):
+    # a 1x1 R would be broadcast over the ankle's 2x2 innovation covariance
+    f = np.full(2, 20.0)
+    l = static_model.infer_command(np.array([0.3]), f)
+    with pytest.raises(ValueError, match="R of shape"):
+        ekf_step(EKFEstimator.create(np.array([0.3]), n_muscles=1), static_model, l, f, 0.02)
+    with pytest.raises(ValueError, match="measured lengths"):
+        ekf_step(EKFEstimator.create(np.array([0.3]), n_muscles=2), static_model, l[:1], f,
+                 0.02)
 
 
 def test_length_jacobian_matches_finite_differences(static_model):
