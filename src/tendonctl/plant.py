@@ -68,13 +68,21 @@ class MuscleGeometry:
     """Straight-line muscle paths over planar revolute chains.
 
     Link 0 is the fixed base; joint j rotates link j+1 relative to its
-    parent link about the mount point.  The attachments are flattened into
-    arrays once, so that one pass over them gives every muscle length and,
-    on request, G = dl/dtheta analytically: joint j moves each point p that
-    it carries by z x (p - o_j), where o_j is the joint's world position
-    (the planar revolute point Jacobian; Murray, Li & Sastry, 1994, ch. 3).
-    ``k2`` and ``slack`` hold every muscle's elastic parameters, so the
-    geometry serves as the params of elastic_tension and elastic_elongation.
+    parent link about the mount point.  One pass over the attachments gives
+    every muscle length and, on request, G = dl/dtheta analytically: joint j
+    moves each point p that it carries by z x (p - o_j), where o_j is the
+    joint's world position (the planar revolute point Jacobian; Murray, Li &
+    Sastry, 1994, ch. 3).  ``k2`` and ``slack`` hold every muscle's elastic
+    parameters, so the geometry serves as the params of elastic_tension and
+    elastic_elongation.
+
+    The pass runs on Python floats: on a body of a few segments, numpy's
+    fixed cost per call is most of what an array pass pays.  Three numpy
+    calls stay, each over the whole body, because they fix the last bit of
+    the results: np.cos and np.sin of the link angles and np.hypot of the
+    segments.  The float loops grow with the number of segments; at about
+    30 segments an array pass costs the same.  The shipped bodies have 2
+    (ankle) and 7 (arm).
     """
 
     def __init__(self, joints, muscles):
@@ -86,77 +94,104 @@ class MuscleGeometry:
         self.limits_hi = np.array([j.limits[1] for j in self.joints])
         self.k2 = np.array([m.k2 for m in self.muscles], dtype=float)
         self.slack = np.array([m.slack for m in self.muscles], dtype=float)
-        self._offset = np.array([m.length_offset for m in self.muscles], dtype=float)
-        # moves[L, j]: joint j lies on link L's chain to the base
-        moves = np.zeros((self.n_joints + 1, self.n_joints))
+        self._offset = [float(m.length_offset) for m in self.muscles]
+        self._parent = [j.parent for j in self.joints]
+        self._origin = [(float(j.origin[0]), float(j.origin[1])) for j in self.joints]
+        # chain[L]: the joints on link L's chain to the base
+        chain = [set()]
         for j_idx, j in enumerate(self.joints):
             if j.parent > j_idx:
                 raise ValueError(f"joint {j.name}: parent link must precede it")
-            moves[j_idx + 1] = moves[j.parent]
-            moves[j_idx + 1, j_idx] = 1.0
-        points = [(link, xy) for m in self.muscles for link, xy in m.attachments]
-        self._link = np.array([link for link, _ in points], dtype=int)
-        if np.any((self._link < 0) | (self._link > self.n_joints)):
+            chain.append(chain[j.parent] | {j_idx})
+        self._points = [(link, float(x), float(y))
+                        for m in self.muscles for link, (x, y) in m.attachments]
+        if any(not 0 <= link <= self.n_joints for link, _, _ in self._points):
             raise ValueError(f"attachment links must lie in 0..{self.n_joints}")
-        self._local = np.array([xy for _, xy in points], dtype=float).reshape(-1, 2)
-        # points a and b = a + 1 of one muscle make a segment of it
-        owner = np.repeat(np.arange(self.n_muscles), [len(m.attachments) for m in self.muscles])
-        self._a = np.flatnonzero(owner[:-1] == owner[1:])
-        self._b = self._a + 1
-        self._S = np.zeros((self.n_muscles, self._a.size))
-        self._S[owner[self._a], np.arange(self._a.size)] = 1.0
-        self._moves_a = moves[self._link[self._a]]
-        self._moves_b = moves[self._link[self._b]]
+        # points a and b = a + 1 of one muscle make a segment of it; movers
+        # lists each joint that moves either end, with 0/1 flags for a and b
+        owner = [m_idx for m_idx, m in enumerate(self.muscles) for _ in m.attachments]
+        self._segments = [(a, a + 1) for a in range(len(owner) - 1) if owner[a] == owner[a + 1]]
+        self._muscle_segments = [[k for k, (a, _) in enumerate(self._segments) if owner[a] == m]
+                                 for m in range(self.n_muscles)]
+        self._movers = []
+        for a, b in self._segments:
+            on_a, on_b = chain[self._points[a][0]], chain[self._points[b][0]]
+            self._movers.append([(j, float(j in on_a), float(j in on_b))
+                                 for j in sorted(on_a | on_b)])
 
     def _check_theta(self, theta):
+        """theta as a list of floats, after checking its size and limits."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_joints,):
             raise ValueError(f"expected {self.n_joints} joint angles")
+        theta = theta.tolist()
         tol = 1e-9
-        if np.any(theta < self.limits_lo - tol) or np.any(theta > self.limits_hi + tol):
+        if any(th < lo - tol or th > hi + tol for th, lo, hi
+               in zip(theta, self.limits_lo.tolist(), self.limits_hi.tolist())):
             raise JointRangeError(f"joint angles {theta} outside limits")
         return theta
 
+    def _frames(self, theta):
+        """Every link's world angle, its cosine and sine, and its origin's x
+        and y: one walk down the tree for the angles, one for the origins."""
+        angles = [0.0]
+        for j, parent in enumerate(self._parent):
+            angles.append(angles[parent] + theta[j])
+        cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
+        xs, ys = [0.0], [0.0]
+        for parent, (ox, oy) in zip(self._parent, self._origin):
+            c, s = cos[parent], sin[parent]
+            xs.append(xs[parent] + (c * ox - s * oy))
+            ys.append(ys[parent] + (s * ox + c * oy))
+        return angles, cos, sin, xs, ys
+
     def link_frames(self, theta):
         """World pose (angle, position) of every link frame."""
-        angles = np.zeros(self.n_joints + 1)
-        positions = np.zeros((self.n_joints + 1, 2))
-        for j, spec in enumerate(self.joints):
-            pa = angles[spec.parent]
-            cp, sp = np.cos(pa), np.sin(pa)
-            ox, oy = spec.origin
-            positions[j + 1] = positions[spec.parent] + [cp * ox - sp * oy,
-                                                         sp * ox + cp * oy]
-            angles[j + 1] = pa + theta[j]
-        return angles, positions
+        angles, _, _, xs, ys = self._frames(np.asarray(theta, dtype=float).tolist())
+        return np.array(angles), np.column_stack((xs, ys))
 
     def _paths(self, theta, jacobian=False):
-        """Muscle lengths at a checked theta, and with ``jacobian`` also G."""
-        angles, positions = self.link_frames(theta)
-        c, s = np.cos(angles)[self._link], np.sin(angles)[self._link]
-        x, y = self._local[:, 0], self._local[:, 1]
-        p = positions[self._link] + np.stack([c * x - s * y, s * x + c * y], axis=1)
-        pa, pb = p[self._a], p[self._b]
-        d = pb - pa
-        norm = np.hypot(d[:, 0], d[:, 1])
-        lengths = self._S @ norm + self._offset
+        """Muscle lengths (a list) at a checked theta (a list), and with
+        ``jacobian`` also G (an array)."""
+        _, cos, sin, xs, ys = self._frames(theta)
+        qx, qy = [], []
+        for link, x, y in self._points:
+            c, s = cos[link], sin[link]
+            qx.append(xs[link] + (c * x - s * y))
+            qy.append(ys[link] + (s * x + c * y))
+        dx = [qx[b] - qx[a] for a, b in self._segments]
+        dy = [qy[b] - qy[a] for a, b in self._segments]
+        norm = np.hypot(dx, dy).tolist()
+        lengths = []   # each an in-order sum: sum() compensates since Python 3.12
+        for segs, offset in zip(self._muscle_segments, self._offset):
+            total = 0.0
+            for k in segs:
+                total += norm[k]
+            lengths.append(total + offset)
         if not jacobian:
             return lengths
-        # a segment whose ends coincide (d = 0, as when it is led through a
-        # joint centre) adds nothing to G: 0 is a subgradient of |d| there
-        u = d / np.where(norm > 0, norm, 1.0)[:, None]
-        ux, uy = u[:, 0], u[:, 1]
-        # u . (z x (q - o_j)) = q x u - o_j x u for a segment end q that joint j moves
-        o = positions[1:]
-        o_u = np.outer(uy, o[:, 0]) - np.outer(ux, o[:, 1])
-        pa_u = (pa[:, 0] * uy - pa[:, 1] * ux)[:, None]
-        pb_u = (pb[:, 0] * uy - pb[:, 1] * ux)[:, None]
-        G_seg = self._moves_b * (pb_u - o_u) - self._moves_a * (pa_u - o_u)
-        return lengths, self._S @ G_seg
+        G = []
+        for segs in self._muscle_segments:
+            row = [0.0] * self.n_joints
+            for k in segs:
+                a, b = self._segments[k]
+                # a segment whose ends coincide (d = 0, as when it is led
+                # through a joint centre) adds nothing to G: 0 is a
+                # subgradient of |d| there
+                n = norm[k] if norm[k] > 0 else 1.0
+                ux, uy = dx[k] / n, dy[k] / n
+                a_u = qx[a] * uy - qy[a] * ux
+                b_u = qx[b] * uy - qy[b] * ux
+                # u . (z x (q - o_j)) = q x u - o_j x u for an end q that joint j moves
+                for j, moves_a, moves_b in self._movers[k]:
+                    o_u = uy * xs[j + 1] - ux * ys[j + 1]
+                    row[j] += moves_b * (b_u - o_u) - moves_a * (a_u - o_u)
+            G.append(row)
+        return lengths, np.array(G)
 
     def muscle_lengths(self, theta):
         """Geometric path length (plus calibration offset) per muscle."""
-        return self._paths(self._check_theta(theta))
+        return np.array(self._paths(self._check_theta(theta)))
 
     def jacobian(self, theta):
         """d(muscle length)/d(joint angle), analytic."""
@@ -230,8 +265,11 @@ class Plant:
         """One control tick of STEPS_PER_TICK semi-implicit Euler steps toward
         the length command l_ref.  Returns the tick's end state and the joint
         angles after each step (steps x joints), which the car's pedal delay
-        reads.  Each step makes one geometry pass for both f and G; theta is
-        checked once, since the joint stops keep it inside the limits."""
+        reads, as fresh arrays; ``state`` is left as it was.  Each step makes
+        one geometry pass for both f and G; theta is checked once, since the
+        joint stops keep it inside the limits.  The steps run on Python
+        floats, except for the torque G^T f, which BLAS forms as an array
+        formulation would, to the last bit."""
         geom = self.geom
         l_ref = np.asarray(l_ref, dtype=float)
         if l_ref.shape != (geom.n_muscles,):
@@ -240,26 +278,40 @@ class Plant:
             raise FloatingPointError("non-finite plant inputs")
         cfg, dt = self.config, PLANT_DT
         theta = geom._check_theta(state.theta)
-        theta_dot, l_act, c, t = state.theta_dot, state.l, state.c, state.t
-        thetas = np.empty((STEPS_PER_TICK, geom.n_joints))
-        for k in range(STEPS_PER_TICK):
-            l_act = l_act + dt * (l_ref - l_act) / TAU_SERVO
+        theta_dot, l_act, c = (np.asarray(v, dtype=float).tolist()
+                               for v in (state.theta_dot, state.l, state.c))
+        t, l_ref = state.t, l_ref.tolist()
+        joints = list(zip(cfg.inertia.tolist(), cfg.damping.tolist(), cfg.spring_k.tolist(),
+                          cfg.spring_theta0.tolist(), self.constrained.tolist(),
+                          geom.limits_lo.tolist(), geom.limits_hi.tolist()))
+        muscles = list(zip(geom.k2.tolist(), geom.slack.tolist()))
+        thetas = []
+        for _ in range(STEPS_PER_TICK):
+            l_act = [la + dt * (r - la) / TAU_SERVO for la, r in zip(l_act, l_ref)]
             l_geo, G = geom._paths(theta, jacobian=True)
-            f = elastic_tension(geom, l_geo - l_act)
-            tau = (-G.T @ f - cfg.spring_k * (theta - cfg.spring_theta0)
-                   - cfg.damping * theta_dot)
-            theta_dot = theta_dot + dt * tau / cfg.inertia
-            theta_dot[self.constrained] = 0.0
-            theta = theta + dt * theta_dot
-            # hard stops at the joint limits
-            stop = (theta < geom.limits_lo) | (theta > geom.limits_hi)
-            theta = np.clip(theta, geom.limits_lo, geom.limits_hi)
-            theta_dot[stop] = 0.0
-            c = c + dt * (KAPPA_HEAT * f * f - KAPPA_COOL * (c - C_AMBIENT))
-            c = np.maximum(c, C_AMBIENT)
+            f = []   # elastic_tension of the stretch, on floats
+            for (k2, slack), lg, la in zip(muscles, l_geo, l_act):
+                s = max(lg - la - slack, 0.0)
+                f.append(k2 * s * s)
+            f_arr = np.array(f)
+            tau_muscle = (-G.T @ f_arr).tolist()
+            for j, (inertia, damping, spring_k, theta0, held, lo, hi) in enumerate(joints):
+                tau = (tau_muscle[j] - spring_k * (theta[j] - theta0)
+                       - damping * theta_dot[j])
+                td = 0.0 if held else theta_dot[j] + dt * tau / inertia
+                th = theta[j] + dt * td
+                # hard stops at the joint limits
+                if th < lo:
+                    th, td = lo, 0.0
+                elif th > hi:
+                    th, td = hi, 0.0
+                theta[j], theta_dot[j] = th, td
+            c = [max(ci + dt * (KAPPA_HEAT * fi * fi - KAPPA_COOL * (ci - C_AMBIENT)), C_AMBIENT)
+                 for ci, fi in zip(c, f)]
             t = t + dt
-            thetas[k] = theta
-        return PlantState(theta=theta, theta_dot=theta_dot, l=l_act, f=f, c=c, t=t), thetas
+            thetas.append(list(theta))
+        return PlantState(theta=np.array(theta), theta_dot=np.array(theta_dot),
+                          l=np.array(l_act), f=f_arr, c=np.array(c), t=t), np.array(thetas)
 
 
 # --------------------------------------------------------------------------

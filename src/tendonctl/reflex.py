@@ -82,17 +82,14 @@ def solve_tension_qp(qp):
         free = ~active
         x_target = _solve_free(H, c, free, active, qp.f_min)
         step = x_target - x
-        # longest feasible step before a free coordinate hits its bound
-        alpha = 1.0
-        blocker = -1
-        for i in np.where(free)[0]:
-            if step[i] < -_STEP_TOL:
-                a = (qp.f_min[i] - x[i]) / step[i]
-                if a < alpha:
-                    alpha = a
-                    blocker = i
-        x = x + alpha * step
-        if blocker >= 0:
+        # longest feasible step before a free coordinate hits its bound; on a
+        # tie argmin takes the first coordinate, as a strict-< scan would
+        shrinks = free & (step < -_STEP_TOL)
+        ratio = np.divide(qp.f_min - x, step, out=np.full(m, np.inf), where=shrinks)
+        blocker = int(np.argmin(ratio))
+        blocked = ratio[blocker] < 1.0
+        x = x + (ratio[blocker] if blocked else 1.0) * step
+        if blocked:
             x[blocker] = qp.f_min[blocker]
             active[blocker] = True
             continue

@@ -71,7 +71,7 @@ class IntersensoryModel(nets.JSONPersisted):
         self.buffer.append((x, l_meas.copy()))
 
         n_new = min(ONLINE_NEWEST, len(self.buffer))
-        newest = list(self.buffer)[-n_new:]
+        newest = [self.buffer[i] for i in range(len(self.buffer) - n_new, len(self.buffer))]
         n_replay = min(ONLINE_BATCH - n_new, len(self.buffer))
         if n_replay > 0:
             idx = self._rng.integers(0, len(self.buffer), size=n_replay)

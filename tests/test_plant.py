@@ -203,20 +203,101 @@ def test_jacobian_at_a_limit_is_two_sided(body):
         assert np.max(np.abs(geom.jacobian(theta) - G)) < 1e-9
 
 
-def test_segment_through_a_joint_centre_adds_nothing_to_g():
-    # the elbow flexor led through the elbow's mount point: its segment from
-    # the mount point to the forearm's origin has zero length at every pose
+def _arm_led_through_the_elbow():
+    """The arm with its bi-articular flexor led through the elbow's mount
+    point: its segment from the mount point to the forearm's origin has
+    zero length at every pose."""
     geom = default_arm_geometry()
     elbow = geom.joints[1]
     (l0, anchor), (l1, via), (l2, insertion) = geom.muscles[4].attachments
     led = replace(geom.muscles[4], attachments=[(l0, anchor), (l1, via), (elbow.parent, elbow.origin),
                                                 (2, (0.0, 0.0)), (l2, insertion)])
-    body = MuscleGeometry(geom.joints, geom.muscles[:4] + [led] + geom.muscles[5:])
+    return MuscleGeometry(geom.joints, geom.muscles[:4] + [led] + geom.muscles[5:])
+
+
+def test_segment_through_a_joint_centre_adds_nothing_to_g():
+    body = _arm_led_through_the_elbow()
     theta = np.array([0.3, -0.4])
     G = body.jacobian(theta)
     assert np.all(np.isfinite(G))
     assert np.max(np.abs(G - _central_differences(body, theta, 1e-6))) < 1e-8
     assert np.array_equal(body.muscle_lengths(theta), _reference_lengths(body, theta))
+
+
+def _reference_paths(geom, theta):
+    """The array pass that the geometry was before it ran on floats: the
+    link frames, then lengths and G from the attachments flattened into
+    arrays."""
+    n_j, n_m = geom.n_joints, geom.n_muscles
+    moves = np.zeros((n_j + 1, n_j))   # moves[L, j]: joint j lies on link L's chain
+    for j_idx, j in enumerate(geom.joints):
+        moves[j_idx + 1] = moves[j.parent]
+        moves[j_idx + 1, j_idx] = 1.0
+    points = [(link, xy) for m in geom.muscles for link, xy in m.attachments]
+    link = np.array([lk for lk, _ in points], dtype=int)
+    local = np.array([xy for _, xy in points], dtype=float).reshape(-1, 2)
+    owner = np.repeat(np.arange(n_m), [len(m.attachments) for m in geom.muscles])
+    a = np.flatnonzero(owner[:-1] == owner[1:])
+    b = a + 1
+    S = np.zeros((n_m, a.size))
+    S[owner[a], np.arange(a.size)] = 1.0
+    offset = np.array([m.length_offset for m in geom.muscles], dtype=float)
+
+    angles = np.zeros(n_j + 1)
+    positions = np.zeros((n_j + 1, 2))
+    for j, spec in enumerate(geom.joints):
+        pa = angles[spec.parent]
+        cp, sp = np.cos(pa), np.sin(pa)
+        ox, oy = spec.origin
+        positions[j + 1] = positions[spec.parent] + [cp * ox - sp * oy, sp * ox + cp * oy]
+        angles[j + 1] = pa + theta[j]
+    c, s = np.cos(angles)[link], np.sin(angles)[link]
+    x, y = local[:, 0], local[:, 1]
+    p = positions[link] + np.stack([c * x - s * y, s * x + c * y], axis=1)
+    pa, pb = p[a], p[b]
+    d = pb - pa
+    norm = np.hypot(d[:, 0], d[:, 1])
+    lengths = S @ norm + offset
+    u = d / np.where(norm > 0, norm, 1.0)[:, None]
+    ux, uy = u[:, 0], u[:, 1]
+    o = positions[1:]
+    o_u = np.outer(uy, o[:, 0]) - np.outer(ux, o[:, 1])
+    pa_u = (pa[:, 0] * uy - pa[:, 1] * ux)[:, None]
+    pb_u = (pb[:, 0] * uy - pb[:, 1] * ux)[:, None]
+    G_seg = moves[link[b]] * (pb_u - o_u) - moves[link[a]] * (pa_u - o_u)
+    return lengths, S @ G_seg
+
+
+def _assert_float_pass_is_the_array_pass(geom, theta):
+    # G bit for bit; the lengths too where every muscle has at most two
+    # segments.  With three or more, the BLAS row sum of S @ norm takes them
+    # in its own order, so there the float pass (an in-order sum) equals the
+    # per-muscle loop bit for bit and the array pass to rounding.
+    lengths, G = _reference_paths(geom, theta)
+    assert np.array_equal(geom.jacobian(theta), G)
+    if max(len(m.attachments) for m in geom.muscles) <= 3:
+        assert np.array_equal(geom.muscle_lengths(theta), lengths)
+    else:
+        assert np.array_equal(geom.muscle_lengths(theta), _reference_lengths(geom, theta))
+        assert np.allclose(geom.muscle_lengths(theta), lengths,
+                           rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+@pytest.mark.parametrize("body", ["ankle", "arm", "led_through_the_elbow"])
+def test_float_pass_equals_the_array_pass(body):
+    geom = _arm_led_through_the_elbow() if body == "led_through_the_elbow" else BODIES[body]()
+    rng = np.random.default_rng(5)
+    for theta in rng.uniform(geom.limits_lo, geom.limits_hi, size=(400, geom.n_joints)):
+        _assert_float_pass_is_the_array_pass(geom, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_float_pass_equals_the_array_pass_on_branching_bodies(data):
+    geom = data.draw(branching_bodies())
+    theta = np.array([data.draw(st.floats(lo, hi))
+                      for lo, hi in zip(geom.limits_lo, geom.limits_hi)])
+    _assert_float_pass_is_the_array_pass(geom, theta)
 
 
 def test_joint_limits_enforced():
@@ -356,6 +437,27 @@ def test_tick_is_four_steps_bit_for_bit(body):
         assert tick.t == ref.t
         assert car.v_car == ref_car.v_car and car.buf_idx == ref_car.buf_idx
         assert np.array_equal(car.pedal_buffer, ref_car.pedal_buffer)
+
+
+@pytest.mark.parametrize("body", ["ankle", "arm"])
+def test_step_returns_fresh_arrays_and_leaves_its_input_untouched(body):
+    # PedalRig reads l_dot from the previous state's l, so a step that wrote
+    # into its input arrays, or handed them back, would zero l_dot
+    geom = BODIES[body]()
+    p = Plant(geom, (default_ankle_plant_config if body == "ankle"
+                     else default_arm_plant_config)(geom))
+    state = p.initial_state()
+    l_ref = state.l - 0.002
+    before = {name: getattr(state, name).copy() for name in ("theta", "theta_dot", "l", "f", "c")}
+    l_ref_before = l_ref.copy()
+    after, thetas = p.step(state, l_ref)
+    for name, value in before.items():
+        assert np.array_equal(getattr(state, name), value), name
+        assert not np.shares_memory(getattr(after, name), getattr(state, name)), name
+        assert not np.shares_memory(getattr(after, name), thetas), name
+    assert state.t == 0.0
+    assert np.array_equal(l_ref, l_ref_before)
+    assert not np.array_equal(after.l, state.l)
 
 
 def test_constrained_joint_does_not_move():
