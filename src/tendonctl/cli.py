@@ -51,9 +51,9 @@ class ConfigError(Exception):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -283,6 +283,8 @@ def cmd_experiment(args, cfg):
     run, files = args.experiment, []
     if "plant" in cfg.doc:
         raise ConfigError(f"plant: experiment {run} runs on its own body, not the config's")
+    if args.static_model and run in ("relax", "safety"):
+        raise ConfigError(f"--static-model: experiment {run} runs no h")
     if run == "relax":      # MRC on a co-contracted arm, criterion 5
         files.append(_out_path(args, "relax_log.csv"))
         m = harness.run_mrc_experiment(log_path=files[0])
@@ -325,15 +327,19 @@ def build_parser():
     p = argparse.ArgumentParser(prog="tendonctl",
                                 description="tendon-driven robot control experiments")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in COMMANDS:   # the flags every command reads
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config path")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="results")
-        sp.add_argument("--assert", dest="assert_metrics", action="store_true",
-                        help="exit 2 when the run misses its target metric")
-        sp.add_argument("--static-model", default=None)
-        sp.add_argument("--dynamics-model", default=None)
+    # the others, each only where a command reads it
+    for name in ("init-model", "collect", "run", "compare", "experiment"):
+        sub.choices[name].add_argument("--static-model", default=None)
+    for name in ("run", "compare"):
+        sub.choices[name].add_argument("--dynamics-model", default=None)
+    for name in ("compare", "experiment"):
+        sub.choices[name].add_argument("--assert", dest="assert_metrics", action="store_true",
+                                       help="exit 2 when the run misses its target metric")
     sub.choices["train-dynamics"].add_argument("--data", required=True)
     sub.choices["experiment"].add_argument("experiment", choices=EXPERIMENTS)
     return p

@@ -279,7 +279,6 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
     if constrained:
         p.constrained[:] = True
     mrc = RelaxationState.create(geom.n_muscles)
-    mrc.mode = "static" if use_mrc else "moving"
     log_rows = []
     for k in range(int(duration_s / CTRL_DT)):
         if use_mrc:
@@ -295,10 +294,10 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
             offsets = np.zeros(geom.n_muscles)
         state = p.step(state, l_base + offsets)[0]
         if log_path:
-            log_rows += [(state.t, m, offsets[m], 0.0, state.f[m], state.c[m])
+            log_rows += [(state.t, m, offsets[m], state.f[m], state.c[m])
                          for m in range(geom.n_muscles)]
     if log_path:
-        write_csv(log_path, "t,muscle,dl_relax,dl_safe,f,c", log_rows)
+        write_csv(log_path, "t,muscle,dl_relax,f,c", log_rows)
 
     return {"tension_norm_before_N": norm_before,
             "tension_norm_after_N": float(np.linalg.norm(state.f)),

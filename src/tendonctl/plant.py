@@ -6,6 +6,7 @@ pedal angle -> velocity with an actuation transport delay).  This plant is
 the ground truth every learning module trains against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,8 @@ class MuscleGeometry:
             raise ValueError(f"expected {self.n_joints} joint angles")
         theta = theta.tolist()
         tol = 1e-9
-        if any(th < lo - tol or th > hi + tol for th, lo, hi
+        # negated, so that a NaN angle fails too
+        if any(not lo - tol <= th <= hi + tol for th, lo, hi
                in zip(theta, self.limits_lo.tolist(), self.limits_hi.tolist())):
             raise JointRangeError(f"joint angles {theta} outside limits")
         return theta
@@ -280,6 +282,8 @@ class Plant:
         theta = geom._check_theta(state.theta)
         theta_dot, l_act, c = (np.asarray(v, dtype=float).tolist()
                                for v in (state.theta_dot, state.l, state.c))
+        if not all(map(math.isfinite, theta_dot + l_act + c)):
+            raise FloatingPointError("non-finite plant state")
         t, l_ref = state.t, l_ref.tolist()
         joints = list(zip(cfg.inertia.tolist(), cfg.damping.tolist(), cfg.spring_k.tolist(),
                           cfg.spring_theta0.tolist(), self.constrained.tolist(),

@@ -7,7 +7,7 @@ the safety reflex rate-limits an elongation response to tension or
 temperature overload.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -150,7 +150,6 @@ RELAX_F_MIN = 10.0       # advance to the next muscle below this [N]
 @dataclass
 class RelaxationState:
     dl_relax: np.ndarray          # per-muscle elongation offsets [m], >= 0
-    mode: str = "moving"          # "static" or "moving", set by the caller
     order: np.ndarray = None      # ascending-necessary-tension priority
     active_index: int = 0
     theta_hold: np.ndarray = None
@@ -161,66 +160,43 @@ class RelaxationState:
     def create(cls, n_muscles):
         return cls(dl_relax=np.zeros(n_muscles))
 
-    def copy(self):
-        return RelaxationState(self.dl_relax.copy(), self.mode,
-                               None if self.order is None else self.order.copy(),
-                               self.active_index,
-                               None if self.theta_hold is None else self.theta_hold.copy(),
-                               self.done, self._last)
-
 
 def mrc_step(state, f, theta, x_necessary, constrained=None):
     """One relaxation tick.  Returns (new state, offsets to add to commands).
 
-    Static mode: elongate the muscle with the lowest necessary tension by
-    RELAX_RATE per tick until its measured tension falls below RELAX_F_MIN,
-    then move to the next; stop and roll back one increment once the pose
-    drifts past RELAX_DRIFT_MAX (externally constrained joints never count
-    as drift).
-    Moving mode: unwind offsets starting from the most necessary muscle.
+    Elongate the muscle with the lowest necessary tension by RELAX_RATE per
+    tick until its measured tension falls below RELAX_F_MIN, then move to
+    the next; stop and roll back one increment once the pose drifts past
+    RELAX_DRIFT_MAX (externally constrained joints never count as drift).
+    The first tick takes the pose to hold and the priority order.
     """
-    s = state.copy()
+    s = replace(state, dl_relax=state.dl_relax.copy())
     f = np.asarray(f, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    x_necessary = np.asarray(x_necessary, dtype=float)
     n = s.dl_relax.size
     if constrained is None:
         constrained = np.zeros(theta.size, dtype=bool)
 
-    if s.mode == "static":
-        if s.theta_hold is None:
-            s.theta_hold = theta.copy()
-            s.order = np.argsort(x_necessary, kind="stable")
-            s.active_index = 0
-            s.done = False
-            s._last = None
-        if s.done:
-            return s, s.dl_relax.copy()
-        watched = ~np.asarray(constrained, dtype=bool)
-        drift = np.abs(theta - s.theta_hold)[watched]
-        if drift.size and np.max(drift) > RELAX_DRIFT_MAX:
-            if s._last is not None:
-                s.dl_relax[s._last] = max(0.0, s.dl_relax[s._last] - RELAX_RATE)
-            s.done = True
-            return s, s.dl_relax.copy()
-        if s.active_index >= n:
-            s.done = True
-            return s, s.dl_relax.copy()
-        i = int(s.order[s.active_index])
-        s.dl_relax[i] += RELAX_RATE
-        s._last = i
-        if f[i] < RELAX_F_MIN:
-            s.active_index += 1
-    else:  # moving: release the offsets, most necessary muscle first
-        s.theta_hold = None
-        s.done = False
-        s._last = None
-        if np.any(s.dl_relax > 0):
-            order = np.argsort(-x_necessary, kind="stable")
-            for i in order:
-                if s.dl_relax[i] > 0:
-                    s.dl_relax[i] = max(0.0, s.dl_relax[i] - RELAX_RATE)
-                    break
+    if s.theta_hold is None:
+        s.theta_hold = theta.copy()
+        s.order = np.argsort(np.asarray(x_necessary, dtype=float), kind="stable")
+    if s.done:
+        return s, s.dl_relax.copy()
+    watched = ~np.asarray(constrained, dtype=bool)
+    drift = np.abs(theta - s.theta_hold)[watched]
+    if drift.size and np.max(drift) > RELAX_DRIFT_MAX:
+        if s._last is not None:
+            s.dl_relax[s._last] = max(0.0, s.dl_relax[s._last] - RELAX_RATE)
+        s.done = True
+        return s, s.dl_relax.copy()
+    if s.active_index >= n:
+        s.done = True
+        return s, s.dl_relax.copy()
+    i = int(s.order[s.active_index])
+    s.dl_relax[i] += RELAX_RATE
+    s._last = i
+    if f[i] < RELAX_F_MIN:
+        s.active_index += 1
     return s, s.dl_relax.copy()
 
 
@@ -230,21 +206,18 @@ def mrc_step(state, f, theta, x_necessary, constrained=None):
 
 @dataclass
 class SafetyReflex:
-    K_f: float = 1e-3       # [m/N]
-    K_c: float = 1e-3       # [m/degC]
-    f_lim: float = 100.0    # [N]
-    c_lim: float = 60.0     # [degC]
-    dl_min: float = -5e-4   # per-tick change lower bound [m], negative for recovery
-    dl_max: float = 5e-4    # per-tick change upper bound [m]
-    dl_safe: np.ndarray = None
+    dl_safe: np.ndarray     # per-muscle elongation [m], >= 0
 
-    def __post_init__(self):
-        if not (self.dl_min <= 0.0 <= self.dl_max):
-            raise ValueError("need dl_min <= 0 <= dl_max")
+    K_f = 1e-3              # [m/N]
+    K_c = 1e-3              # [m/degC]
+    f_lim = 100.0           # [N]
+    c_lim = 60.0            # [degC]
+    dl_min = -5e-4          # per-tick change lower bound [m], negative for recovery
+    dl_max = 5e-4           # per-tick change upper bound [m]
 
     @classmethod
-    def create(cls, n_muscles, **kw):
-        return cls(dl_safe=np.zeros(n_muscles), **kw)
+    def create(cls, n_muscles):
+        return cls(dl_safe=np.zeros(n_muscles))
 
 
 def safety_reflex_step(s, f, c):
@@ -254,5 +227,4 @@ def safety_reflex_step(s, f, c):
     target = s.K_f * np.maximum(f - s.f_lim, 0.0) + s.K_c * np.maximum(c - s.c_lim, 0.0)
     delta = np.clip(target - s.dl_safe, s.dl_min, s.dl_max)
     dl = np.maximum(s.dl_safe + delta, 0.0)
-    new = SafetyReflex(s.K_f, s.K_c, s.f_lim, s.c_lim, s.dl_min, s.dl_max, dl)
-    return new, dl.copy()
+    return SafetyReflex(dl), dl.copy()

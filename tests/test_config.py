@@ -195,6 +195,32 @@ def test_cli_experiment_with_a_plant_section_exits_1(name, tmp_path, no_training
     assert_one_line_error(code, capsys, "plant", name)
 
 
+# -- each command takes only the flags it reads -------------------------------
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("init-model", "--assert"), ("init-model", "--dynamics-model"),
+    ("collect", "--assert"), ("collect", "--dynamics-model"),
+    ("train-dynamics", "--assert"), ("train-dynamics", "--static-model"),
+    ("train-dynamics", "--dynamics-model"), ("run", "--assert"),
+    ("experiment", "--dynamics-model"),
+])
+def test_cli_flag_the_command_does_not_read_exits_1(command, flag, tmp_path, no_training,
+                                                    capsys):
+    argv = {"train-dynamics": [command, "--data", "rollout.npz"],
+            "experiment": [command, "ekf"]}.get(command, [command])
+    code = run_cli(tmp_path, argv + [flag] + ([] if flag == "--assert" else ["model.json"]))
+    assert code == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["relax", "safety"])
+def test_cli_experiment_without_h_refuses_a_static_model(name, tmp_path, no_training,
+                                                         static_model_path, capsys):
+    code = run_cli(tmp_path, ["experiment", name, "--static-model", static_model_path])
+    assert_one_line_error(code, capsys, "--static-model", name)
+
+
 # -- a loaded dynamics model sets the horizon --------------------------------
 
 

@@ -12,6 +12,7 @@ from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
 from tendonctl.nets import MLPNetwork
+from tendonctl.plant import default_arm_geometry
 
 
 # -- metrics ---------------------------------------------------------------
@@ -148,6 +149,16 @@ def test_run_scenario_csv_schema(pedal_rig_factory, tmp_path):
     assert header == "t,v_car,v_ref,theta_ankle_cmd,theta_ankle_actual,loss"
 
 
+def test_relax_log_schema(tmp_path):
+    log = tmp_path / "relax_log.csv"
+    harness.run_mrc_experiment(duration_s=0.1, log_path=str(log))
+    lines = log.read_text().splitlines()
+    assert lines[0] == "t,muscle,dl_relax,f,c"
+    n_muscles, ticks = default_arm_geometry().n_muscles, 5   # 0.1 s of 20 ms ticks
+    assert len(lines) == 1 + n_muscles * ticks
+    assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
 # -- CLI -------------------------------------------------------------------
 
 
@@ -161,6 +172,13 @@ def test_cli_invalid_json_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert cli.main(["run", "--config", str(bad)]) == 1
+
+
+def test_cli_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"version": 1, "scenario": {"name": "\xff"}}')
+    code = cli.main(["run", "--config", str(bad)])
+    assert_one_line_error(code, capsys, "invalid JSON")
 
 
 def test_cli_wrong_version_exits_1(tmp_path):
@@ -226,8 +244,8 @@ def test_cli_experiment(name, tmp_path, static_model):
     model_path = tmp_path / "static.json"
     static_model.save(model_path)
     out = tmp_path / name
-    code = cli.main(["experiment", name, "--out", str(out), "--assert",
-                     "--static-model", str(model_path)])
+    h = ["--static-model", str(model_path)] if name in ("ekf", "online") else []
+    code = cli.main(["experiment", name, "--out", str(out), "--assert", *h])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["name"] == name

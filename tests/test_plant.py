@@ -304,6 +304,8 @@ def test_joint_limits_enforced():
     geom = default_ankle_geometry()
     with pytest.raises(JointRangeError):
         geom.muscle_lengths(np.array([2.0]))
+    with pytest.raises(JointRangeError):   # NaN is inside no range
+        geom.muscle_lengths(np.array([np.nan]))
     with pytest.raises(ValueError):
         geom.muscle_lengths(np.zeros(2))
 
@@ -371,6 +373,10 @@ def test_plant_step_validation():
     bad[0] = np.nan
     with pytest.raises(FloatingPointError):
         p.step(state, bad)
+    for field in ("theta_dot", "l", "c"):   # each state field, not only the command
+        nan = replace(state, **{field: np.full_like(getattr(state, field), np.nan)})
+        with pytest.raises(FloatingPointError):
+            p.step(nan, state.l)
 
 
 def _reference_step(p, state, l_ref, dt=PLANT_DT):

@@ -89,16 +89,8 @@ def test_qp_feasibility_property(seed):
 # -- muscle relaxation control ---------------------------------------------
 
 
-def test_mrc_moving_mode_noop_when_zero():
-    state = RelaxationState.create(4)
-    new, offsets = mrc_step(state, np.full(4, 30.0), np.zeros(2), np.arange(4.0))
-    assert np.array_equal(offsets, np.zeros(4))
-    assert np.array_equal(new.dl_relax, np.zeros(4))
-
-
 def test_mrc_static_elongates_lowest_necessity_first():
     state = RelaxationState.create(3)
-    state.mode = "static"
     x_nec = np.array([30.0, 5.0, 20.0])   # muscle 1 is least necessary
     f_high = np.full(3, 5 * RELAX_F_MIN)
     new, offsets = mrc_step(state, f_high, np.zeros(2), x_nec)
@@ -116,7 +108,6 @@ def test_mrc_static_elongates_lowest_necessity_first():
 
 def test_mrc_drift_stops_and_rolls_back():
     state = RelaxationState.create(2)
-    state.mode = "static"
     x_nec = np.array([1.0, 2.0])
     f = np.full(2, 50.0)
     state, _ = mrc_step(state, f, np.zeros(1), x_nec)
@@ -132,7 +123,6 @@ def test_mrc_drift_stops_and_rolls_back():
 
 def test_mrc_constrained_joints_ignore_drift():
     state = RelaxationState.create(2)
-    state.mode = "static"
     x_nec = np.array([1.0, 2.0])
     f = np.full(2, 50.0)
     state, _ = mrc_step(state, f, np.zeros(1), x_nec, constrained=np.array([True]))
@@ -142,24 +132,15 @@ def test_mrc_constrained_joints_ignore_drift():
     assert offsets[0] == pytest.approx(2 * RELAX_RATE)
 
 
-def test_mrc_moving_unwinds_most_necessary_first():
-    state = RelaxationState.create(3)
-    state.dl_relax = np.array([3.0, 2.0, 1.0]) * RELAX_RATE
-    state.mode = "moving"
-    x_nec = np.array([5.0, 30.0, 10.0])
-    state, offsets = mrc_step(state, np.zeros(3), np.zeros(2), x_nec)
-    assert offsets[1] == pytest.approx(RELAX_RATE)   # highest necessity unwound first
-    assert offsets[0] == pytest.approx(3 * RELAX_RATE)
-    assert np.all(state.dl_relax >= 0.0)
-
-
 def test_mrc_offsets_never_negative():
-    state = RelaxationState.create(2)
-    state.dl_relax = np.array([RELAX_RATE / 4, 0.0])
-    state.mode = "moving"
+    # a rollback larger than the increment it undoes stops at zero
+    state = RelaxationState(np.array([RELAX_RATE / 4, 0.0]), order=np.array([0, 1]),
+                            theta_hold=np.zeros(1), _last=0)
+    drifted = np.array([RELAX_DRIFT_MAX + 0.01])
     for _ in range(5):
-        state, offsets = mrc_step(state, np.zeros(2), np.zeros(1), np.array([1.0, 2.0]))
+        state, offsets = mrc_step(state, np.zeros(2), drifted, np.array([1.0, 2.0]))
         assert np.all(offsets >= 0.0)
+    assert state.done and offsets[0] == 0.0
 
 
 # -- safety reflex ---------------------------------------------------------
@@ -172,14 +153,14 @@ def test_safety_below_thresholds_stays_zero():
 
 
 def test_safety_rate_limited_first_step():
-    # [DERIVED] direct formula: ideal 1e-3 * 20 = 0.02 m, clamped to 5e-4
-    s = SafetyReflex.create(1, K_f=1e-3, f_lim=100.0, dl_max=5e-4)
+    # [DERIVED] direct formula: ideal K_f * (120 - f_lim) = 0.02 m, clamped to dl_max
+    s = SafetyReflex.create(1)
     s, dl = safety_reflex_step(s, np.array([120.0]), np.array([25.0]))
     assert dl[0] == pytest.approx(5e-4)
 
 
 def test_safety_decays_without_undershoot():
-    s = SafetyReflex.create(1, dl_min=-5e-4, dl_max=5e-4)
+    s = SafetyReflex.create(1)   # dl_min = -5e-4
     s.dl_safe = np.array([1.2e-3])
     below = (np.array([0.0]), np.array([25.0]))
     s, dl = safety_reflex_step(s, *below)
@@ -193,9 +174,15 @@ def test_safety_decays_without_undershoot():
 
 
 def test_safety_temperature_term():
-    s = SafetyReflex.create(1, K_c=1e-3, c_lim=60.0, dl_max=1.0)
-    s, dl = safety_reflex_step(s, np.array([0.0]), np.array([70.0]))
-    assert dl[0] == pytest.approx(1e-2)
+    # [DERIVED] target K_c * (70 - c_lim) = 1e-2 m, reached at dl_max per tick
+    s = SafetyReflex.create(1)
+    hot = (np.array([0.0]), np.array([70.0]))
+    for _ in range(round(1e-2 / SafetyReflex.dl_max) - 1):
+        s, dl = safety_reflex_step(s, *hot)
+    assert dl[0] < 1e-2 - SafetyReflex.dl_max / 2
+    for _ in range(3):   # reaches the target and holds it
+        s, dl = safety_reflex_step(s, *hot)
+        assert dl[0] == pytest.approx(1e-2)
 
 
 def test_safety_per_tick_change_bound():
@@ -210,7 +197,3 @@ def test_safety_per_tick_change_bound():
         assert np.all(dl >= 0.0)
         prev = dl
 
-
-def test_safety_reflex_validation():
-    with pytest.raises(ValueError):
-        SafetyReflex.create(2, dl_min=1e-4)
