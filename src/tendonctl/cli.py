@@ -21,7 +21,7 @@ from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_scenario, train_pedal_dynamics)
 from .nets import ModelVersionError, TrainConfig
-from .plant import CTRL_DT, CarConfig, default_ankle_geometry, geometry_from_description
+from .plant import CarConfig, default_ankle_geometry, geometry_from_description, ticks
 from .static_ctrl import InitializationError, IntersensoryModel
 
 CONFIG_VERSION = 1
@@ -137,7 +137,7 @@ def read_config(doc, seed=0):
     cfg.opt_cfg = _build("dynamics", OptimizerConfig,
                          dict(cfg.opt_cfg, horizon=cfg.rollout["horizon"]))
     n, rollout_s = cfg.rollout["horizon"], cfg.rollout["duration_s"]
-    if int(round(rollout_s / CTRL_DT)) <= n:   # one window: none left to fit after hold-out
+    if ticks(rollout_s) <= n:   # one window: none left to fit after hold-out
         raise ConfigError(f"dynamics.rollout_s: {rollout_s} s is not longer than N = {n} ticks")
     return cfg
 
@@ -254,7 +254,10 @@ def cmd_train_dynamics(args, cfg):
 
 
 def cmd_run(args, cfg):
-    rig_factory, dyn = _stack(args, cfg, learned=cfg.scenario.controller == "learned")
+    learned = cfg.scenario.controller == "learned"
+    if args.dynamics_model and not learned:
+        raise ConfigError("--dynamics-model: a pid scenario runs no dynamics model")
+    rig_factory, dyn = _stack(args, cfg, learned)
     _emit(args, run_scenario(cfg.scenario, rig_factory(), dyn,
                              opt_cfg=cfg.opt_cfg, pid_gains=cfg.pid_gains,
                              out_dir=args.out, cfg_doc=cfg.doc))

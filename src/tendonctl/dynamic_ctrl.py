@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nets
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
-from .plant import CTRL_DT
+from .plant import CTRL_DT, ticks
 
 # exploration signal: a new random knot every HOLD_S, and every DWELL_EVERY
 # knots DWELL_KNOTS knots pinned to the low stop
@@ -25,10 +25,6 @@ HOLDOUT_FRACTION = 0.1   # share of the windows held out of training
 
 class TrainingThresholdError(RuntimeError):
     """Held-out prediction error exceeded the configured threshold."""
-
-    def __init__(self, message, metrics=None):
-        super().__init__(message)
-        self.metrics = metrics or {}
 
 
 @dataclass
@@ -118,8 +114,7 @@ def random_command_profile(duration_s, u_limits, seed):
     (otherwise the random walk almost never revisits the low-speed regime).
     """
     rng = np.random.default_rng(seed)
-    steps = int(round(duration_s / CTRL_DT))
-    hold = max(1, int(round(HOLD_S / CTRL_DT)))
+    steps, hold = ticks(duration_s), ticks(HOLD_S)
     n_knots = steps // hold + 2
     knots = rng.uniform(u_limits[0], u_limits[1], size=n_knots)
     for k in range(0, n_knots, DWELL_EVERY):
@@ -134,7 +129,7 @@ def collect_rollout(rig, duration_s, seed, horizon):
     Returns (S0, U, Y): initial extended states, command windows of length
     ``horizon``, and the observed task-state sequences that followed.
     """
-    if duration_s < horizon * CTRL_DT:
+    if ticks(duration_s) < horizon:
         raise ValueError("duration too short for the horizon")
     u = random_command_profile(duration_s, rig.u_limits, seed)
     steps = u.size
@@ -190,8 +185,7 @@ def train_dynamics(dataset, u_limits, train_cfg=None, rms_threshold=0.3, seed=0)
     rms = float(np.sqrt(np.mean((pred1 - Y[hold, 0]) ** 2)))
     if rms > rms_threshold:
         raise TrainingThresholdError(
-            f"held-out one-step RMS {rms:.3f} above {rms_threshold}",
-            metrics={"holdout_rms": rms})
+            f"held-out one-step RMS {rms:.3f} above {rms_threshold}")
     model.holdout_rms = rms
     return model
 
@@ -260,14 +254,15 @@ class PIDController:
     integral: float = 0.0
     prev_err: float = None
 
-    def step(self, err, dt):
-        d = 0.0 if self.prev_err is None else (err - self.prev_err) / dt
+    def step(self, err):
+        """The command for one control tick of tracking error ``err``."""
+        d = 0.0 if self.prev_err is None else (err - self.prev_err) / CTRL_DT
         self.prev_err = err
-        self.integral += err * dt
+        self.integral += err * CTRL_DT
         out = self.kp * err + self.ki * self.integral + self.kd * d
         clipped = min(max(out, self.out_lo), self.out_hi)
         if clipped != out:       # anti-windup: stop integrating against saturation
-            self.integral -= err * dt
+            self.integral -= err * CTRL_DT
         return clipped
 
     def reset(self):

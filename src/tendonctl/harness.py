@@ -15,10 +15,9 @@ import numpy as np
 
 from .dynamic_ctrl import (OptimizerConfig, PIDController, collect_rollout,
                            mpc_control_step, train_dynamics)
-from .plant import (CTRL_DT, CarConfig, CarState, Plant, car_step,
-                    default_ankle_geometry, default_ankle_plant_config,
-                    default_arm_geometry, default_arm_plant_config,
-                    elastic_elongation)
+from .plant import (ANKLE_PLANT_CONFIG, ARM_PLANT_CONFIG, CTRL_DT, CarConfig, CarState,
+                    Plant, car_step, default_ankle_geometry, default_arm_geometry,
+                    elastic_elongation, ticks)
 from .reflex import (RELAX_F_MIN, RelaxationState, SafetyReflex, TensionQP,
                      mrc_step, safety_reflex_step, solve_tension_qp)
 # not called here: perfbench/tracing.py wraps harness.init_from_geometry
@@ -44,7 +43,7 @@ class Scenario:
     controller: str = "learned"                  # "learned" or "pid"
 
     def __post_init__(self):
-        if not round(self.duration_s / CTRL_DT) >= 1:
+        if ticks(self.duration_s) < 1:
             raise ValueError(f"duration must span at least one {CTRL_DT} s control tick")
         if self.controller not in ("learned", "pid"):
             raise ValueError(f"unknown controller {self.controller!r}")
@@ -141,8 +140,7 @@ class PedalRig:
 def build_pedal_rig(static_model, car_cfg=None, geom=None):
     """A pedal rig on ``geom`` (the default ankle) driven through ``static_model``."""
     geom = geom or default_ankle_geometry()
-    return PedalRig(geom, default_ankle_plant_config(geom), car_cfg or CarConfig(),
-                    static_model)
+    return PedalRig(geom, ANKLE_PLANT_CONFIG, car_cfg or CarConfig(), static_model)
 
 
 def train_pedal_dynamics(rig_factory, horizon=PEDAL_HORIZON, duration_s=60.0,
@@ -179,12 +177,11 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
     pid = PIDController(**(pid_gains or DEFAULT_PID), out_lo=rig.u_limits[0],
                         out_hi=rig.u_limits[1])
 
-    n_ticks = int(round(scenario.duration_s / CTRL_DT))
     events = list(scenario.events)
     brake_on = False
     warm = None
     rows = []   # per tick: the six CSV columns, the brake flag, the peak tension
-    for k in range(n_ticks):
+    for k in range(ticks(scenario.duration_s)):
         t = k * CTRL_DT
         while events and events[0][0] <= t + 1e-9:
             _, name = events.pop(0)
@@ -204,7 +201,7 @@ def run_scenario(scenario, rig, dynamics_model=None, opt_cfg=None,
                     dynamics_model, rig.extended_state(), scenario.v_ref,
                     warm, opt_cfg)
             else:
-                u_cmd = pid.step(scenario.v_ref - rig.task_state(), CTRL_DT)
+                u_cmd = pid.step(scenario.v_ref - rig.task_state())
         rig.apply(u_cmd, brake=brake_cmd)
         rows.append((t + CTRL_DT, rig.task_state(), scenario.v_ref, u_cmd,
                      rig.state.theta[0], loss, brake_on, rig.state.f.max()))
@@ -265,14 +262,14 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
     Returns metrics: tension L2 norm before/after, max joint drift.
     """
     geom = default_arm_geometry()
-    p = Plant(geom, default_arm_plant_config(geom))
+    p = Plant(geom, ARM_PLANT_CONFIG)
     theta_hold = np.array(theta_hold, dtype=float)
     f_ref = np.full(geom.n_muscles, float(f_bias))
     l_base = _geometric_commands(geom, theta_hold, f_ref)
     state = p.initial_state(theta_hold)
 
     # settle into the co-contracted hold
-    for _ in range(int(MRC_SETTLE_S / CTRL_DT)):
+    for _ in range(ticks(MRC_SETTLE_S)):
         state = p.step(state, l_base)[0]
     norm_before = float(np.linalg.norm(state.f))
 
@@ -280,7 +277,7 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
         p.constrained[:] = True
     mrc = RelaxationState.create(geom.n_muscles)
     log_rows = []
-    for k in range(int(duration_s / CTRL_DT)):
+    for _ in range(ticks(duration_s)):
         if use_mrc:
             G = geom.jacobian(state.theta)
             qp = TensionQP(W1=np.full(geom.n_muscles, 1e-6),
@@ -308,16 +305,15 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
 def run_safety_experiment(duration_s=3.0, overload_factor=2.0, use_reflex=True):
     """Command a shortening that drives tension to overload_factor * f_lim."""
     geom = default_ankle_geometry()
-    p = Plant(geom, default_ankle_plant_config(geom))
+    p = Plant(geom, ANKLE_PLANT_CONFIG)
     p.constrained[:] = True  # isolate the tension response
     state = p.initial_state()
     sr = SafetyReflex.create(geom.n_muscles)
-    stretch = np.sqrt(overload_factor * sr.f_lim / geom.muscles[0].k2)
-    l_cmd = state.l - stretch
+    l_cmd = state.l - elastic_elongation(geom, overload_factor * sr.f_lim)
 
     peak = max_step = 0.0
     prev_dl = sr.dl_safe.copy()
-    for _ in range(int(duration_s / CTRL_DT)):
+    for _ in range(ticks(duration_s)):
         if use_reflex:
             sr, dl = safety_reflex_step(sr, state.f, state.c)
             max_step = max(max_step, float(np.max(np.abs(dl - prev_dl))))
@@ -341,15 +337,13 @@ def run_online_learning_experiment(model, offset_m=0.005, n_updates=500):
     after n_updates online refinement steps.
     """
     geom_true = default_ankle_geometry(length_offsets=(offset_m, 0.0))
-    plant_cfg = default_ankle_plant_config(geom_true)
     f_ref = np.full(geom_true.n_muscles, F_BIAS)
 
     def probe(update):
-        p = Plant(geom_true, plant_cfg)
+        p = Plant(geom_true, ANKLE_PLANT_CONFIG)
         state = p.initial_state()
-        n_ticks = int(round(n_updates)) if update else int(PROBE_PERIOD / CTRL_DT) * 2
         errs, peak = [], 0.0
-        for k in range(n_ticks):
+        for k in range(n_updates if update else 2 * ticks(PROBE_PERIOD)):
             t = k * CTRL_DT
             theta_ref = np.array([PROBE_AMP * np.sin(2 * np.pi * t / PROBE_PERIOD)])
             l_ref = model.infer_command(theta_ref, f_ref)
@@ -367,10 +361,8 @@ def run_online_learning_experiment(model, offset_m=0.005, n_updates=500):
             "peak_tension_before_N": peak_before, "peak_tension_after_N": peak_after}
 
 
-# the EKF experiment's ankle sinusoid: mean and amplitude [rad], period [s];
-# and the EKF's process [rad^2/s] and length observation [m^2] noise
+# the EKF experiment's ankle sinusoid: mean and amplitude [rad], period [s]
 EKF_MEAN, EKF_AMP, EKF_PERIOD = 0.3, 0.4, 4.0
-EKF_Q, EKF_R = 1e-2, 1e-6
 
 
 def run_ekf_experiment(model, duration_s=10.0, noise_m=5e-4, burn_in_s=1.0, seed=0):
@@ -378,15 +370,14 @@ def run_ekf_experiment(model, duration_s=10.0, noise_m=5e-4, burn_in_s=1.0, seed
     geom = default_ankle_geometry()
     f_ref = np.full(geom.n_muscles, F_BIAS)
     rng = np.random.default_rng(seed)
-    est = EKFEstimator.create(np.full(geom.n_joints, EKF_MEAN), geom.n_muscles,
-                              q=EKF_Q, r=EKF_R)
-    times = np.arange(int(round(duration_s / CTRL_DT))) * CTRL_DT
+    est = EKFEstimator.create(np.full(geom.n_joints, EKF_MEAN), geom.n_muscles)
+    times = np.arange(ticks(duration_s)) * CTRL_DT
     errors = []
     for t in times:
         theta_true = np.array([EKF_MEAN + EKF_AMP * np.sin(2 * np.pi * t / EKF_PERIOD)])
         l_meas = (_geometric_commands(geom, theta_true, f_ref)
                   + rng.normal(0.0, noise_m, size=geom.n_muscles))
-        est = ekf_step(est, model, l_meas, f_ref, CTRL_DT)
+        est = ekf_step(est, model, l_meas, f_ref)
         errors.append(est.theta_est - theta_true)
     rmse = float(np.sqrt(np.mean(np.array(errors)[times >= burn_in_s] ** 2)))
     return {"rmse_rad": rmse, "final_P_trace": float(np.trace(est.P))}

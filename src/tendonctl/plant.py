@@ -18,6 +18,12 @@ PLANT_DT = 0.005     # integration step [s]
 STEPS_PER_TICK = 4
 DESCRIPTION_VERSION = 1
 
+
+def ticks(seconds):
+    """The control ticks in ``seconds``, to the nearest tick."""
+    return int(round(seconds / CTRL_DT))
+
+
 # muscle servo and thermal model, shared by every body
 TAU_SERVO = 0.05     # muscle length servo time constant [s]
 KAPPA_HEAT = 2.0e-4  # [degC / (N^2 s)]
@@ -210,18 +216,12 @@ class MuscleGeometry:
                 raise ValueError(f"joint {spec.name} is not spanned antagonistically")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantConfig:
-    inertia: np.ndarray            # per joint [kg m^2]
-    damping: np.ndarray            # viscous joint damping [N m s/rad]
-    spring_k: np.ndarray           # external load spring per joint [N m/rad]
-    spring_theta0: np.ndarray      # spring rest pose [rad]
-
-    def __post_init__(self):
-        self.inertia = np.asarray(self.inertia, dtype=float)
-        self.damping = np.asarray(self.damping, dtype=float)
-        self.spring_k = np.asarray(self.spring_k, dtype=float)
-        self.spring_theta0 = np.asarray(self.spring_theta0, dtype=float)
+    """A body's joint dynamics, the same at each of its joints."""
+    inertia: float     # [kg m^2]
+    damping: float     # viscous joint damping [N m s/rad]
+    spring_k: float    # external load spring toward theta = 0 [N m/rad]
 
 
 @dataclass
@@ -261,7 +261,7 @@ class Plant:
 
     def holding_torque(self, theta):
         """Muscle torque required to hold the pose against the load spring."""
-        return self.config.spring_k * (np.asarray(theta, float) - self.config.spring_theta0)
+        return self.config.spring_k * np.asarray(theta, float)
 
     def step(self, state, l_ref):
         """One control tick of STEPS_PER_TICK semi-implicit Euler steps toward
@@ -278,16 +278,16 @@ class Plant:
             raise ValueError("l_ref dimension mismatch")
         if not (np.all(np.isfinite(l_ref)) and np.all(np.isfinite(state.theta))):
             raise FloatingPointError("non-finite plant inputs")
-        cfg, dt = self.config, PLANT_DT
+        dt = PLANT_DT
+        inertia, damping, spring_k = self.config.inertia, self.config.damping, self.config.spring_k
         theta = geom._check_theta(state.theta)
         theta_dot, l_act, c = (np.asarray(v, dtype=float).tolist()
                                for v in (state.theta_dot, state.l, state.c))
         if not all(map(math.isfinite, theta_dot + l_act + c)):
             raise FloatingPointError("non-finite plant state")
         t, l_ref = state.t, l_ref.tolist()
-        joints = list(zip(cfg.inertia.tolist(), cfg.damping.tolist(), cfg.spring_k.tolist(),
-                          cfg.spring_theta0.tolist(), self.constrained.tolist(),
-                          geom.limits_lo.tolist(), geom.limits_hi.tolist()))
+        joints = list(zip(self.constrained.tolist(), geom.limits_lo.tolist(),
+                          geom.limits_hi.tolist()))
         muscles = list(zip(geom.k2.tolist(), geom.slack.tolist()))
         thetas = []
         for _ in range(STEPS_PER_TICK):
@@ -299,9 +299,8 @@ class Plant:
                 f.append(k2 * s * s)
             f_arr = np.array(f)
             tau_muscle = (-G.T @ f_arr).tolist()
-            for j, (inertia, damping, spring_k, theta0, held, lo, hi) in enumerate(joints):
-                tau = (tau_muscle[j] - spring_k * (theta[j] - theta0)
-                       - damping * theta_dot[j])
+            for j, (held, lo, hi) in enumerate(joints):
+                tau = tau_muscle[j] - spring_k * theta[j] - damping * theta_dot[j]
                 td = 0.0 if held else theta_dot[j] + dt * tau / inertia
                 th = theta[j] + dt * td
                 # hard stops at the joint limits
@@ -395,7 +394,10 @@ def geometry_from_description(doc):
     return geom, car
 
 
-def _antagonist_pair(name, parent, mount, radius, span, k2):
+K2 = 1.0e7   # the default bodies' quadratic muscle stiffness [N/m^2]
+
+
+def _antagonist_pair(name, parent, mount, radius, span):
     """Two muscles wrapping a pin joint on opposite sides.
 
     Anchors sit on the parent link behind the joint, insertions on the child
@@ -404,14 +406,14 @@ def _antagonist_pair(name, parent, mount, radius, span, k2):
     mx, my = mount
     flex = MuscleSpec(f"{name}_flex",
                       [(parent, (mx - span, my + radius)),
-                       (parent + 1, (span, radius))], k2=k2)
+                       (parent + 1, (span, radius))], k2=K2)
     ext = MuscleSpec(f"{name}_ext",
                      [(parent, (mx - span, my - radius)),
-                      (parent + 1, (span, -radius))], k2=k2)
+                      (parent + 1, (span, -radius))], k2=K2)
     return [flex, ext]
 
 
-def default_arm_geometry(k2=1.0e7):
+def default_arm_geometry():
     """2-DOF planar arm (shoulder pitch + elbow) with 6 muscles.
 
     Mono-articular antagonist pairs at each joint plus a bi-articular pair,
@@ -422,40 +424,28 @@ def default_arm_geometry(k2=1.0e7):
         JointSpec("elbow", parent=1, origin=(0.30, 0.0), limits=(-1.2, 1.2)),
     ]
     muscles = []
-    muscles += _antagonist_pair("shoulder", 0, (0.0, 0.0), 0.035, 0.10, k2)
-    muscles += _antagonist_pair("elbow", 1, (0.30, 0.0), 0.035, 0.10, k2)
+    muscles += _antagonist_pair("shoulder", 0, (0.0, 0.0), 0.035, 0.10)
+    muscles += _antagonist_pair("elbow", 1, (0.30, 0.0), 0.035, 0.10)
     # bi-articular pair base -> forearm
     muscles.append(MuscleSpec("biart_flex",
                               [(0, (-0.10, 0.05)), (1, (0.15, 0.045)),
-                               (2, (0.10, 0.03))], k2=k2))
+                               (2, (0.10, 0.03))], k2=K2))
     muscles.append(MuscleSpec("biart_ext",
                               [(0, (-0.10, -0.05)), (1, (0.15, -0.045)),
-                               (2, (0.10, -0.03))], k2=k2))
+                               (2, (0.10, -0.03))], k2=K2))
     return MuscleGeometry(joints, muscles)
 
 
-def default_ankle_geometry(k2=1.0e7, length_offsets=(0.0, 0.0)):
+def default_ankle_geometry(length_offsets=(0.0, 0.0)):
     """1-DOF ankle pitch with one antagonist muscle pair (pedal driver)."""
     joints = [JointSpec("ankle_pitch", parent=0, origin=(0.0, 0.0),
                         limits=(-0.2, 0.8))]
-    muscles = _antagonist_pair("ankle", 0, (0.0, 0.0), 0.030, 0.08, k2)
+    muscles = _antagonist_pair("ankle", 0, (0.0, 0.0), 0.030, 0.08)
     for m, off in zip(muscles, length_offsets):
         m.length_offset = off
     return MuscleGeometry(joints, muscles)
 
 
-def default_arm_plant_config(geom):
-    n = geom.n_joints
-    return PlantConfig(inertia=np.full(n, 0.02),
-                       damping=np.full(n, 0.5),
-                       spring_k=np.full(n, 2.0),
-                       spring_theta0=np.zeros(n))
-
-
-def default_ankle_plant_config(geom):
-    n = geom.n_joints
-    return PlantConfig(inertia=np.full(n, 0.005),
-                       damping=np.full(n, 0.2),
-                       spring_k=np.full(n, 1.0),
-                       spring_theta0=np.zeros(n))
-
+# the default bodies' joint dynamics
+ARM_PLANT_CONFIG = PlantConfig(inertia=0.02, damping=0.5, spring_k=2.0)
+ANKLE_PLANT_CONFIG = PlantConfig(inertia=0.005, damping=0.2, spring_k=1.0)

@@ -161,7 +161,7 @@ class RelaxationState:
         return cls(dl_relax=np.zeros(n_muscles))
 
 
-def mrc_step(state, f, theta, x_necessary, constrained=None):
+def mrc_step(state, f, theta, x_necessary, constrained):
     """One relaxation tick.  Returns (new state, offsets to add to commands).
 
     Elongate the muscle with the lowest necessary tension by RELAX_RATE per
@@ -174,8 +174,6 @@ def mrc_step(state, f, theta, x_necessary, constrained=None):
     f = np.asarray(f, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n = s.dl_relax.size
-    if constrained is None:
-        constrained = np.zeros(theta.size, dtype=bool)
 
     if s.theta_hold is None:
         s.theta_hold = theta.copy()

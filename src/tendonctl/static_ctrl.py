@@ -13,6 +13,7 @@ import numpy as np
 
 from . import nets
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
+from .plant import CTRL_DT
 
 
 class InitializationError(RuntimeError):
@@ -160,6 +161,11 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,
 # EKF joint-angle estimation
 
 
+# the EKF's process [rad^2/s] and length observation [m^2] noise, and its
+# initial covariance [rad^2]
+EKF_Q, EKF_R, EKF_P0 = 1e-2, 1e-6, 1e-2
+
+
 @dataclass
 class EKFEstimator:
     theta_est: np.ndarray
@@ -168,15 +174,16 @@ class EKFEstimator:
     R: np.ndarray     # observation noise [m^2]
 
     @classmethod
-    def create(cls, theta0, n_muscles, q=1e-4, r=1e-6, p0=1e-2):
+    def create(cls, theta0, n_muscles):
         theta0 = np.asarray(theta0, dtype=float)
         n = theta0.size
-        return cls(theta_est=theta0.copy(), P=p0 * np.eye(n),
-                   Q=q * np.eye(n), R=r * np.eye(n_muscles))
+        return cls(theta_est=theta0.copy(), P=EKF_P0 * np.eye(n),
+                   Q=EKF_Q * np.eye(n), R=EKF_R * np.eye(n_muscles))
 
 
-def ekf_step(est, model, l_meas, f_meas, dt):
-    """Random-walk predict + length-observation update.  Returns a new estimator.
+def ekf_step(est, model, l_meas, f_meas):
+    """One control tick of random-walk predict + length-observation update.
+    Returns a new estimator.
     Raises ValueError unless ``l_meas`` has one length and ``est.R`` one row
     and column per muscle of the model."""
     l_meas = np.asarray(l_meas, dtype=float)
@@ -184,7 +191,7 @@ def ekf_step(est, model, l_meas, f_meas, dt):
     if l_meas.shape != (m,) or est.R.shape != (m, m):
         raise ValueError(f"{m} muscles, but {l_meas.size} measured lengths and "
                          f"R of shape {est.R.shape}")
-    P = est.P + est.Q * dt
+    P = est.P + est.Q * CTRL_DT
     theta = est.theta_est
 
     h, H = model.length_jacobian_theta(theta, f_meas)

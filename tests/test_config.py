@@ -221,6 +221,14 @@ def test_cli_experiment_without_h_refuses_a_static_model(name, tmp_path, no_trai
     assert_one_line_error(code, capsys, "--static-model", name)
 
 
+def test_cli_pid_run_refuses_a_dynamics_model(tmp_path, no_training, static_model_path, capsys):
+    # a pid scenario runs no dynamics model: the flag is refused, not ignored
+    code = run_cli(tmp_path, ["run", "--static-model", static_model_path,
+                              "--dynamics-model", str(tmp_path / "nonexistent" / "dyn.json")],
+                   scenario={"controller": "pid", "duration_s": 0.2})
+    assert_one_line_error(code, capsys, "error: --dynamics-model: ")
+
+
 # -- a loaded dynamics model sets the horizon --------------------------------
 
 

@@ -164,7 +164,7 @@ def test_training_threshold_error_carries_metrics():
     with pytest.raises(TrainingThresholdError) as exc:
         train_dynamics(ds, rig.u_limits, seed=0, rms_threshold=1e-12,
                        train_cfg=TrainConfig(epochs=1))
-    assert "holdout_rms" in exc.value.metrics
+    assert "held-out one-step RMS" in str(exc.value)
 
 
 def test_empty_dataset_raises():
@@ -335,21 +335,21 @@ def test_mpc_unreachable_target_pins_at_limit(trained_stub):
 
 def test_pid_proportional_only():
     pid = PIDController(kp=0.5, ki=0.0, kd=0.0, out_lo=-10, out_hi=10)
-    assert pid.step(2.0, 0.02) == pytest.approx(1.0)
+    assert pid.step(2.0) == pytest.approx(1.0)
 
 
 def test_pid_anti_windup():
     pid = PIDController(kp=0.0, ki=1.0, kd=0.0, out_lo=0.0, out_hi=0.5)
     for _ in range(100):
-        pid.step(10.0, 0.02)
+        pid.step(10.0)
     # integral must not have wound past what the saturated output uses
     assert pid.integral <= 0.5 / pid.ki + 1e-9
-    pid.step(-10.0, 0.02)
+    pid.step(-10.0)
     assert pid.integral < 0.5 / pid.ki   # recovers immediately
 
 
 def test_pid_reset():
     pid = PIDController(kp=1.0, ki=1.0, kd=1.0, out_lo=-1, out_hi=1)
-    pid.step(0.5, 0.02)
+    pid.step(0.5)
     pid.reset()
     assert pid.integral == 0.0 and pid.prev_err is None

@@ -159,6 +159,14 @@ def test_relax_log_schema(tmp_path):
     assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
+def test_mrc_experiment_runs_the_nearest_number_of_ticks(tmp_path):
+    # 2.3 s is 115 ticks; 2.3 / 0.02 is 114.99999999999999, which truncates to 114
+    log = tmp_path / "relax_log.csv"
+    harness.run_mrc_experiment(duration_s=2.3, log_path=str(log))
+    n_muscles = default_arm_geometry().n_muscles
+    assert len(log.read_text().splitlines()) == 1 + n_muscles * 115
+
+
 # -- CLI -------------------------------------------------------------------
 
 

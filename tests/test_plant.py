@@ -10,14 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tendonctl.plant import (C_AMBIENT, CTRL_DT, KAPPA_COOL, KAPPA_HEAT, PLANT_DT,
-                             STEPS_PER_TICK, TAU_SERVO, CarConfig, CarState, JointRangeError,
-                             JointSpec, MuscleGeometry, MuscleSpec, Plant,
-                             PlantState, car_drag, car_step,
-                             default_ankle_geometry, default_ankle_plant_config,
-                             default_arm_geometry, default_arm_plant_config,
+from tendonctl.plant import (ANKLE_PLANT_CONFIG, ARM_PLANT_CONFIG, C_AMBIENT, CTRL_DT,
+                             KAPPA_COOL, KAPPA_HEAT, PLANT_DT, STEPS_PER_TICK, TAU_SERVO,
+                             CarConfig, CarState, JointRangeError, JointSpec,
+                             MuscleGeometry, MuscleSpec, Plant, PlantState, car_drag,
+                             car_step, default_ankle_geometry, default_arm_geometry,
                              elastic_elongation, elastic_tension,
-                             geometry_from_description)
+                             geometry_from_description, ticks)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -322,7 +321,7 @@ def test_muscle_spec_validation():
 
 def make_ankle_plant():
     geom = default_ankle_geometry()
-    return geom, Plant(geom, default_ankle_plant_config(geom))
+    return geom, Plant(geom, ANKLE_PLANT_CONFIG)
 
 
 def test_rest_state_is_fixed_point():
@@ -388,7 +387,7 @@ def _reference_step(p, state, l_ref, dt=PLANT_DT):
     s = np.maximum(0.0, stretch - p.geom.slack)
     f = p.geom.k2 * s * s
     G = p.geom.jacobian(state.theta)
-    tau_ext = -cfg.spring_k * (state.theta - cfg.spring_theta0)
+    tau_ext = -cfg.spring_k * state.theta
     tau = -G.T @ f + tau_ext - cfg.damping * state.theta_dot
     theta_dot = state.theta_dot + dt * tau / cfg.inertia
     theta_dot[p.constrained] = 0.0
@@ -415,6 +414,13 @@ def _reference_car_step(car, cfg, pedal, brake, dt=PLANT_DT):
     return CarState(v_car=v, pedal_buffer=buf, buf_idx=idx)
 
 
+def test_ticks_of_every_whole_tick_duration():
+    # k ticks written to the centisecond are k ticks; a truncating
+    # int(seconds / CTRL_DT) gives k - 1 for 277 of these (0.58 s, 0.94 s, ...)
+    for k in range(1, 3001):
+        assert ticks(round(k * 0.02, 2)) == k
+
+
 @pytest.mark.parametrize("body", ["ankle", "arm"])
 def test_tick_is_four_steps_bit_for_bit(body):
     # a tick is STEPS_PER_TICK steps of PLANT_DT: same theta, f, l, c, t and
@@ -424,7 +430,7 @@ def test_tick_is_four_steps_bit_for_bit(body):
         geom, p = make_ankle_plant()
     else:
         geom = default_arm_geometry()
-        p = Plant(geom, default_arm_plant_config(geom))
+        p = Plant(geom, ARM_PLANT_CONFIG)
     rng = np.random.default_rng(7)
     cfg = CarConfig()
     tick, ref = p.initial_state(), p.initial_state()
@@ -450,8 +456,7 @@ def test_step_returns_fresh_arrays_and_leaves_its_input_untouched(body):
     # PedalRig reads l_dot from the previous state's l, so a step that wrote
     # into its input arrays, or handed them back, would zero l_dot
     geom = BODIES[body]()
-    p = Plant(geom, (default_ankle_plant_config if body == "ankle"
-                     else default_arm_plant_config)(geom))
+    p = Plant(geom, ANKLE_PLANT_CONFIG if body == "ankle" else ARM_PLANT_CONFIG)
     state = p.initial_state()
     l_ref = state.l - 0.002
     before = {name: getattr(state, name).copy() for name in ("theta", "theta_dot", "l", "f", "c")}
@@ -522,7 +527,7 @@ def test_pedal_transport_delay():
     cfg = CarConfig()
     car = CarState.at_creep(cfg)
     v0 = car.v_car
-    n_delay = int(round(cfg.delay_s / CTRL_DT))   # 15 ticks of 4 steps
+    n_delay = ticks(cfg.delay_s)   # 15 ticks of 4 steps
     for k in range(n_delay + 2):
         car = car_step(car, cfg, pedals=[0.5] * STEPS_PER_TICK, brake=0.0)
         if k < n_delay:

@@ -93,16 +93,17 @@ def test_mrc_static_elongates_lowest_necessity_first():
     state = RelaxationState.create(3)
     x_nec = np.array([30.0, 5.0, 20.0])   # muscle 1 is least necessary
     f_high = np.full(3, 5 * RELAX_F_MIN)
-    new, offsets = mrc_step(state, f_high, np.zeros(2), x_nec)
+    free = np.zeros(2, dtype=bool)
+    new, offsets = mrc_step(state, f_high, np.zeros(2), x_nec, free)
     assert offsets[1] == pytest.approx(RELAX_RATE)
     assert offsets[0] == offsets[2] == 0.0
     # stays on the same muscle while its tension is above RELAX_F_MIN
-    new, offsets = mrc_step(new, f_high, np.zeros(2), x_nec)
+    new, offsets = mrc_step(new, f_high, np.zeros(2), x_nec, free)
     assert offsets[1] == pytest.approx(2 * RELAX_RATE)
     # advances once the tension drops below RELAX_F_MIN
     f_low = np.array([50.0, RELAX_F_MIN / 2, 50.0])
-    new, _ = mrc_step(new, f_low, np.zeros(2), x_nec)
-    new, offsets = mrc_step(new, f_high, np.zeros(2), x_nec)
+    new, _ = mrc_step(new, f_low, np.zeros(2), x_nec, free)
+    new, offsets = mrc_step(new, f_high, np.zeros(2), x_nec, free)
     assert offsets[2] == pytest.approx(RELAX_RATE)   # next-lowest muscle
 
 
@@ -110,14 +111,15 @@ def test_mrc_drift_stops_and_rolls_back():
     state = RelaxationState.create(2)
     x_nec = np.array([1.0, 2.0])
     f = np.full(2, 50.0)
-    state, _ = mrc_step(state, f, np.zeros(1), x_nec)
+    free = np.zeros(1, dtype=bool)
+    state, _ = mrc_step(state, f, np.zeros(1), x_nec, free)
     dl_before = state.dl_relax.copy()
     drifted = np.array([RELAX_DRIFT_MAX + 0.01])
-    state, offsets = mrc_step(state, f, drifted, x_nec)
+    state, offsets = mrc_step(state, f, drifted, x_nec, free)
     assert state.done
     assert offsets[0] == pytest.approx(dl_before[0] - RELAX_RATE)
     # frozen afterwards even if the pose returns
-    state, offsets2 = mrc_step(state, f, np.zeros(1), x_nec)
+    state, offsets2 = mrc_step(state, f, np.zeros(1), x_nec, free)
     assert np.array_equal(offsets2, offsets)
 
 
@@ -138,7 +140,8 @@ def test_mrc_offsets_never_negative():
                             theta_hold=np.zeros(1), _last=0)
     drifted = np.array([RELAX_DRIFT_MAX + 0.01])
     for _ in range(5):
-        state, offsets = mrc_step(state, np.zeros(2), drifted, np.array([1.0, 2.0]))
+        state, offsets = mrc_step(state, np.zeros(2), drifted, np.array([1.0, 2.0]),
+                                  np.zeros(1, dtype=bool))
         assert np.all(offsets >= 0.0)
     assert state.done and offsets[0] == 0.0
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
-from tendonctl.plant import (Plant, default_ankle_geometry,
-                             default_ankle_plant_config, elastic_elongation)
+from tendonctl.plant import (ANKLE_PLANT_CONFIG, Plant, default_ankle_geometry,
+                             elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
                                    IntersensoryModel, ONLINE_CAPACITY, ekf_step,
                                    init_from_geometry)
@@ -108,7 +108,7 @@ def test_online_update_learns_injected_offset(static_model):
     # measured triples; per-muscle error must drop below 1 mm
     model = copy.deepcopy(static_model)
     geom_true = default_ankle_geometry(length_offsets=(0.005, 0.0))
-    plant = Plant(geom_true, default_ankle_plant_config(geom_true))
+    plant = Plant(geom_true, ANKLE_PLANT_CONFIG)
     state = plant.initial_state()
     rng = np.random.default_rng(3)
     for k in range(500):
@@ -213,7 +213,7 @@ def test_ekf_zero_innovation_keeps_estimate(static_model):
     est = EKFEstimator.create(np.array([0.3]), 2)
     f = np.full(2, 20.0)
     l = static_model.infer_command(est.theta_est, f)
-    out = ekf_step(est, static_model, l, f, 0.02)
+    out = ekf_step(est, static_model, l, f)
     assert np.allclose(out.theta_est, est.theta_est, atol=1e-12)
 
 
@@ -224,7 +224,7 @@ def test_ekf_covariance_stays_psd(static_model):
     base = static_model.infer_command(np.array([0.3]), f)
     for _ in range(10000):
         l = base + rng.normal(0.0, 5e-4, size=2)
-        est = ekf_step(est, static_model, l, f, 0.02)
+        est = ekf_step(est, static_model, l, f)
         assert np.array_equal(est.P, est.P.T)
         assert np.all(np.linalg.eigvalsh(est.P) > -1e-15)
 
@@ -234,18 +234,19 @@ def test_ekf_round_trip_from_model_lengths(static_model):
     f = np.full(2, 20.0)
     for theta_true in (0.1, 0.35, 0.6):
         l = static_model.infer_command(np.array([theta_true]), f)
-        est = EKFEstimator.create(np.array([0.3]), 2, q=1e-2)
+        est = EKFEstimator.create(np.array([0.3]), 2)
         for _ in range(100):
-            est = ekf_step(est, static_model, l, f, 0.02)
+            est = ekf_step(est, static_model, l, f)
         assert abs(est.theta_est[0] - theta_true) < 0.02
 
 
 def test_ekf_singular_innovation_raises(static_model):
-    est = EKFEstimator.create(np.array([0.3]), 2, q=0.0, r=0.0, p0=0.0)
+    est = EKFEstimator(theta_est=np.array([0.3]), P=np.zeros((1, 1)), Q=np.zeros((1, 1)),
+                       R=np.zeros((2, 2)))
     f = np.full(2, 20.0)
     l = static_model.infer_command(est.theta_est, f)
     with pytest.raises(ValueError):
-        ekf_step(est, static_model, l, f, 0.02)
+        ekf_step(est, static_model, l, f)
 
 
 def test_ekf_rejects_r_or_lengths_of_another_size(static_model):
@@ -253,10 +254,9 @@ def test_ekf_rejects_r_or_lengths_of_another_size(static_model):
     f = np.full(2, 20.0)
     l = static_model.infer_command(np.array([0.3]), f)
     with pytest.raises(ValueError, match="R of shape"):
-        ekf_step(EKFEstimator.create(np.array([0.3]), n_muscles=1), static_model, l, f, 0.02)
+        ekf_step(EKFEstimator.create(np.array([0.3]), n_muscles=1), static_model, l, f)
     with pytest.raises(ValueError, match="measured lengths"):
-        ekf_step(EKFEstimator.create(np.array([0.3]), n_muscles=2), static_model, l[:1], f,
-                 0.02)
+        ekf_step(EKFEstimator.create(np.array([0.3]), n_muscles=2), static_model, l[:1], f)
 
 
 def test_length_jacobian_matches_finite_differences(static_model):
