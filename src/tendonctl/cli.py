@@ -20,7 +20,7 @@ from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
                            TrainingThresholdError, collect_rollout, train_dynamics)
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_scenario, train_pedal_dynamics)
-from .nets import ModelVersionError, TrainConfig
+from .nets import ModelFormatError, TrainConfig
 from .plant import CarConfig, default_ankle_geometry, geometry_from_description, ticks
 from .static_ctrl import InitializationError, IntersensoryModel
 
@@ -39,7 +39,7 @@ SCHEMA = {
                "grid_points f_samples loss_threshold train:train_cfg", True),
     "rollout": ("dynamics", train_pedal_dynamics, "N:horizon rollout_s:duration_s", True),
     "train": ("dynamics", train_dynamics, "rms_threshold train:train_cfg", True),
-    "opt_cfg": ("dynamics", OptimizerConfig, "alpha beta iterations", False),
+    "opt_cfg": ("dynamics", OptimizerConfig, "alpha", False),
     "pid_gains": ("pid", PIDController, "kp ki kd", False),
 }
 TRAIN_KEYS = "learning_rate batch_size epochs"
@@ -360,7 +360,7 @@ def main(argv=None):
         doc = load_config(args.config) if args.config else {"version": CONFIG_VERSION}
         return COMMANDS[args.command](args, read_config(doc, args.seed))
     except (ConfigError, InitializationError, TrainingThresholdError,
-            ModelVersionError, OSError) as exc:
+            ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,13 @@
-"""Learned task dynamics and gradient-based command sequence optimization.
+"""Learned task dynamics and command sequence optimization through the net.
 
 A network maps (initial extended state, command sequence over a horizon)
-to the predicted task-state sequence.  Commands are found by repeatedly
-backpropagating a tracking + smoothness loss to the command inputs and
-taking normalized gradient steps, keeping the best sequence seen.
+to the predicted task-state sequence.  Commands are found by GN_STEPS
+Gauss-Newton steps on a tracking + smoothness loss, each damped by a
+proximal pull of weight PROX_MU toward the warm start: the Jacobian of the
+predicted sequence with respect to the commands comes from one batched
+pullback through the net.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ HOLD_S, DWELL_EVERY, DWELL_KNOTS = 0.5, 20, 5
 HIDDEN = (64, 64)        # the dynamics net's hidden layer sizes
 HOLDOUT_FRACTION = 0.1   # share of the windows held out of training
 
+# Two steps, anchored to the warm start: a tighter fit of the learned model
+# exploits its errors, and the closed loop tracks worse.
+GN_STEPS = 2
+PROX_MU = 3.0            # weight of the pull toward the warm start
+
 
 class TrainingThresholdError(RuntimeError):
     """Held-out prediction error exceeded the configured threshold."""
@@ -30,15 +36,11 @@ class TrainingThresholdError(RuntimeError):
 @dataclass
 class OptimizerConfig:
     alpha: float = 0.1       # smoothness weight
-    beta: float = 0.02       # normalized-gradient step size [rad]
-    iterations: int = 30
     horizon: int = 10        # of a model to train; a trained model runs on its own
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta <= 0:
-            raise ValueError("alpha must be >= 0 and beta > 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        if self.alpha < 0:
+            raise ValueError("alpha must be >= 0")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
 
@@ -57,12 +59,11 @@ class DynamicsModel(nets.JSONPersisted):
         x = self.net.in_scaler.to_unit(np.concatenate([s0, u_seq]))
         return self.net.out_scaler.from_unit(self.net.forward(x))
 
-    def objective(self, s0, s_ref, alpha):
-        """``f(u) -> (loss, dL/du)`` of tracking + smoothness from state s0.
-
-        The scalers and the constant s0 columns are folded into a net of u
-        alone, once per call, so a changed net is never folded stale.
-        """
+    def fold(self, s0):
+        """The net as a function of the command sequence alone from state s0,
+        in physical units: the scalers and the constant s0 columns folded
+        into the first and last layers.  Folded per call, so a changed net
+        is never folded stale."""
         net, n_s, N = self.net, self.state_dim, self.horizon
         in_s, out_s = net.in_scaler, net.out_scaler
         weights, biases = list(net.weights), list(net.biases)
@@ -73,7 +74,11 @@ class DynamicsModel(nets.JSONPersisted):
         out_scale = out_s.from_unit_scale()
         weights[-1] = out_scale[:, None] * weights[-1]
         biases[-1] = out_s.lo + (biases[-1] + 1.0) * out_scale
-        folded = MLPNetwork([N, *net.layer_sizes[1:]], weights, biases)
+        return MLPNetwork([N, *net.layer_sizes[1:]], weights, biases)
+
+    def objective(self, s0, s_ref, alpha):
+        """``f(u) -> (loss, dL/du)`` of tracking + smoothness from state s0."""
+        N, folded = self.horizon, self.fold(s0)
 
         def f(u_seq):
             y, pullback = folded.vjp(u_seq)
@@ -101,9 +106,25 @@ class DynamicsModel(nets.JSONPersisted):
 
     @classmethod
     def from_dict(cls, d):
+        """The model of a ``to_dict`` document.  Raises nets.ModelFormatError
+        unless the net carries both scalers and maps state_dim + horizon
+        inputs to horizon >= 2 outputs, and u_limits has lo < hi."""
         nets.check_version(d)
-        return cls(MLPNetwork.from_dict(d["net"]), d["state_dim"],
-                   d["horizon"], tuple(d["u_limits"]))
+        net = MLPNetwork.from_dict(d["net"])
+        n_s, N, lims = d["state_dim"], d["horizon"], d["u_limits"]
+        if net.in_scaler is None or net.out_scaler is None:
+            raise nets.ModelFormatError("dynamics model: its net has no input_range "
+                                        "or output_range")
+        n_in, sizes = n_s + N, net.layer_sizes
+        if (N < 2 or sizes[0] != n_in or sizes[-1] != N
+                or net.in_scaler.lo.shape != (n_in,) or net.out_scaler.lo.shape != (N,)):
+            raise nets.ModelFormatError(
+                f"dynamics model: net layers {sizes} and scalers do not map state_dim "
+                f"{n_s} + horizon {N} inputs to horizon >= 2 outputs")
+        if len(lims) != 2 or not lims[0] < lims[1]:
+            raise nets.ModelFormatError(f"dynamics model: u_limits {lims} are not "
+                                        "[lo, hi] with lo < hi")
+        return cls(net, n_s, N, lims)
 
 
 def random_command_profile(duration_s, u_limits, seed):
@@ -191,38 +212,47 @@ def train_dynamics(dataset, u_limits, train_cfg=None, rms_threshold=0.3, seed=0)
 
 
 def optimize_commands(model, s0, s_ref, u_init, cfg):
-    """Iterative normalized-gradient refinement of the command sequence.
+    """GN_STEPS proximal Gauss-Newton steps on the command sequence.
 
-    Each iteration: predict, score (tracking MSE + alpha * smoothness),
-    backprop to the commands, step by beta along -g/|g|, clamp to the
-    actuator limits.  The sequence has the model's horizon.  Returns the
-    lowest-loss sequence seen.
+    The loss is L(u) = |y(u) - s_ref|^2 / N + alpha * |Du|^2 / (N - 1), with
+    y the model's predicted sequence from s0 over its horizon N and D the
+    first difference.  From u_w, the warm start clipped to the actuator
+    limits, each step solves
+
+        (J'J / N + a D'D + mu I) delta = -(J'r / N + a D'D u + mu (u - u_w))
+
+    with J = dy/du, r = y - s_ref, a = alpha / (N - 1) and mu = PROX_MU, and
+    clips u + delta to the limits.  Returns (u, L(u), the losses at u_w and
+    after each step).
     """
     N = model.horizon
-    u = np.clip(np.asarray(u_init, dtype=float).copy(), *model.u_limits)
-    if u.shape != (N,):
+    u_w = np.clip(np.asarray(u_init, dtype=float), *model.u_limits)
+    if u_w.shape != (N,):
         raise ValueError("u_init length must equal the horizon")
-    s0 = np.asarray(s0, dtype=float)
     ref = np.full(N, float(s_ref)) if np.isscalar(s_ref) or np.ndim(s_ref) == 0 \
         else np.asarray(s_ref, dtype=float)
 
-    objective = model.objective(s0, ref, cfg.alpha)
+    folded = model.fold(np.asarray(s0, dtype=float))
     lo, hi = model.u_limits
-    best_u = u.copy()
-    best_loss = np.inf
-    losses = np.full(cfg.iterations, np.nan)
-    for it in range(cfg.iterations):
-        loss, g = objective(u)
-        losses[it] = loss
-        if loss < best_loss:
-            best_loss = loss
-            best_u = u.copy()
-        norm = math.sqrt(g @ g)
-        if norm < 1e-12:
-            losses = losses[:it + 1]
-            break
-        u = np.minimum(np.maximum(u - (cfg.beta / norm) * g, lo), hi)
-    return best_u, best_loss, losses
+    eye = np.eye(N)
+    D = np.diff(eye, axis=0)
+    smooth = (cfg.alpha / (N - 1)) * (D.T @ D)
+    damped = smooth + PROX_MU * eye
+
+    def loss(r, u):
+        d = u[1:] - u[:-1]
+        return float(r @ r) / N + cfg.alpha * float(d @ d) / (N - 1)
+
+    u, losses = u_w, []
+    for _ in range(GN_STEPS):
+        y, pullback = folded.vjp(u)
+        r = y - ref
+        losses.append(loss(r, u))
+        J = pullback(eye, weights=False)[1]   # row i: dy_i/du
+        g = J.T @ r / N + smooth @ u + PROX_MU * (u - u_w)
+        u = np.minimum(np.maximum(u + np.linalg.solve(J.T @ J / N + damped, -g), lo), hi)
+    losses.append(loss(folded.forward(u) - ref, u))
+    return u, losses[-1], np.array(losses)
 
 
 def shift_warm_start(u):
@@ -238,8 +268,8 @@ def mpc_control_step(model, s0, s_ref, warm_start, cfg):
     if warm_start is None:
         mid = 0.5 * (model.u_limits[0] + model.u_limits[1])
         warm_start = np.full(model.horizon, mid)
-    u_best, loss, _ = optimize_commands(model, s0, s_ref, warm_start, cfg)
-    return u_best[0], shift_warm_start(u_best), loss
+    u, loss, _ = optimize_commands(model, s0, s_ref, warm_start, cfg)
+    return u[0], shift_warm_start(u), loss
 
 
 @dataclass

@@ -48,9 +48,12 @@ class Scenario:
         if self.controller not in ("learned", "pid"):
             raise ValueError(f"unknown controller {self.controller!r}")
         events = [(float(t), name) for t, name in self.events]
-        for _, name in events:
+        for t, name in events:
             if name not in EVENT_NAMES:
                 raise ValueError(f"unknown event {name!r}")
+            if not 0.0 <= t < self.duration_s:   # else it would never fire, or fire at 0
+                raise ValueError(f"event {name!r} at {t} s is outside the "
+                                 f"{self.duration_s} s scenario")
         self.events = sorted(events, key=lambda e: e[0])
 
 

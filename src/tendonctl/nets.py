@@ -18,7 +18,11 @@ class DimensionError(ValueError):
     """Raised on input/target dimension mismatch."""
 
 
-class ModelVersionError(ValueError):
+class ModelFormatError(ValueError):
+    """Raised when a persisted model document does not describe a usable model."""
+
+
+class ModelVersionError(ModelFormatError):
     """Raised when a persisted model carries an unsupported version."""
 
 

@@ -161,11 +161,16 @@ def test_reader_returns_or_raises_config_error(doc):
     ({"ekf": {"noise_m": 1e-3}}, "ekf: unknown key"),
     ({"static": {"hidden": [16]}}, "static.hidden: unknown key"),
     ({"static": {"f_max": 100.0}}, "static.f_max: unknown key"),
+    ({"dynamics": {"beta": 0.02}}, "dynamics.beta: unknown key"),
+    ({"dynamics": {"iterations": 30}}, "dynamics.iterations: unknown key"),
+    ({"scenario": {"duration_s": 1.0, "events": [[5.0, "person_detected"]]}}, "5.0 s"),
+    ({"scenario": {"duration_s": 1.0, "events": [[-3.0, "light_blue"]]}}, "-3.0 s"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
         "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
         "negative-car-creep", "removed-ekf-section", "removed-static-hidden",
-        "removed-static-f_max"])
+        "removed-static-f_max", "removed-dynamics-beta", "removed-dynamics-iterations",
+        "event-after-the-end", "event-before-the-start"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
@@ -252,7 +257,7 @@ def static_model_path(tmp_path, static_model):
 def test_cli_run_takes_the_horizon_of_a_loaded_model(tmp_path, static_model_path):
     dyn = write_dynamics_model(tmp_path / "dyn.json", horizon=25)
     code = run_cli(tmp_path, ["run", "--static-model", static_model_path, "--dynamics-model", dyn],
-                   scenario={"duration_s": 0.2}, dynamics={"iterations": 2})
+                   scenario={"duration_s": 0.2})
     assert code == 0
 
 
@@ -265,6 +270,26 @@ def test_cli_loaded_model_mismatch_exits_1(dynamics, state_dim, named, tmp_path,
     code = run_cli(tmp_path, ["run", "--static-model", static_model_path, "--dynamics-model", dyn],
                    scenario={"duration_s": 0.2}, dynamics=dynamics)
     assert_one_line_error(code, capsys, named)
+
+
+@pytest.mark.parametrize("defect,named", [
+    (lambda d: d["net"].pop("input_range"), "input_range"),
+    (lambda d: d["net"].pop("output_range"), "output_range"),
+    (lambda d: d.update(horizon=24), "horizon 24"),
+    (lambda d: d.update(u_limits=[0.6, 0.0]), "u_limits"),
+    (lambda d: d.update(u_limits=[0.0, 0.3, 0.6]), "u_limits"),
+], ids=["no-input-scaler", "no-output-scaler", "layers-not-of-the-horizon", "limits-reversed",
+        "limits-not-a-pair"])
+def test_cli_malformed_dynamics_model_exits_1(defect, named, tmp_path, no_training, capsys):
+    # each used to pass loading and end in a traceback (or run on) after h
+    # was pre-trained; the document is now refused before
+    path = tmp_path / "dyn.json"
+    doc = json.loads(Path(write_dynamics_model(path)).read_text())
+    defect(doc)
+    path.write_text(json.dumps(doc))
+    code = run_cli(tmp_path, ["run", "--dynamics-model", str(path)],
+                   scenario={"duration_s": 0.2})
+    assert_one_line_error(code, capsys, "dynamics model", named)
 
 
 def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys):

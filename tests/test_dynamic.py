@@ -1,9 +1,10 @@
-"""Task dynamics learning and backprop command optimization."""
+"""Task dynamics learning and Gauss-Newton command optimization."""
 
 import numpy as np
 import pytest
 
-from tendonctl.dynamic_ctrl import (HOLDOUT_FRACTION, DynamicsModel,
+from tendonctl import dynamic_ctrl
+from tendonctl.dynamic_ctrl import (GN_STEPS, HOLDOUT_FRACTION, PROX_MU, DynamicsModel,
                                     OptimizerConfig, PIDController,
                                     TrainingThresholdError, collect_rollout,
                                     mpc_control_step, optimize_commands,
@@ -176,41 +177,93 @@ def test_empty_dataset_raises():
 # -- command optimization --------------------------------------------------
 
 
-def test_identity_model_descends_to_zero():
-    # [DERIVED] convex quadratic: L strictly decreases, u -> 0
+def test_identity_model_lands_on_the_proximal_minimiser(monkeypatch):
+    # [DERIVED] J = I, alpha = 0: the step solves (1/N + mu) u = s_ref/N + mu u_w
     N = 4
     model = identity_model(N)
-    cfg = OptimizerConfig(alpha=0.0, beta=0.2, iterations=25, horizon=N)
-    u, loss, losses = optimize_commands(model, np.zeros(1), 0.0,
-                                        np.ones(N), cfg)
-    descending = np.diff(losses) < 0
-    assert np.all(descending[: int(np.argmin(losses))])
-    assert np.max(np.abs(u)) <= cfg.beta / np.sqrt(N) + 1e-9
-    assert loss == np.min(losses)
+    cfg = OptimizerConfig(alpha=0.0, horizon=N)
+    warm = np.array([1.0, -0.5, 1.9, -1.8])
+    for s_ref in (0.0, 30.0, -30.0):   # the last two pin some commands at a limit
+        expect = np.clip((s_ref / N + PROX_MU * warm) / (1.0 / N + PROX_MU), *model.u_limits)
+        for steps in (1, GN_STEPS):
+            monkeypatch.setattr(dynamic_ctrl, "GN_STEPS", steps)
+            u, loss, losses = optimize_commands(model, np.zeros(1), s_ref, warm, cfg)
+            np.testing.assert_allclose(u, expect, rtol=1e-12, atol=1e-12)
+            assert losses.size == steps + 1 and loss == losses[-1]
+
+
+def _reference_gauss_newton(model, s0, s_ref, u_w, alpha, steps):
+    """Proximal Gauss-Newton with J by central differences of predict and a
+    dense solve, no clipping (the reference)."""
+    N = model.horizon
+    D = np.diff(np.eye(N), axis=0)
+    a = alpha / (N - 1)
+    u = u_w.copy()
+    for _ in range(steps):
+        h = 1e-6
+        J = np.stack([(model.predict(s0, u + h * e) - model.predict(s0, u - h * e)) / (2 * h)
+                      for e in np.eye(N)], axis=1)
+        r = model.predict(s0, u) - s_ref
+        A = J.T @ J / N + a * D.T @ D + PROX_MU * np.eye(N)
+        u = u + np.linalg.solve(A, -(J.T @ r / N + a * D.T @ D @ u + PROX_MU * (u - u_w)))
+    return u
+
+
+def test_steps_match_a_finite_difference_reference():
+    base = random_dynamics_model()
+    model = DynamicsModel(base.net, base.state_dim, base.horizon, (-1e3, 1e3))  # unclipped
+    rng = np.random.default_rng(4)
+    N = model.horizon
+    for alpha in (0.0, 0.1, 5.0):
+        s0 = rng.normal(size=model.state_dim)
+        ref = rng.uniform(-1.0, 3.0, size=N)
+        u_w = rng.uniform(0.0, 1.0, size=N)
+        u, loss, losses = optimize_commands(model, s0, ref, u_w,
+                                            OptimizerConfig(alpha=alpha, horizon=N))
+        np.testing.assert_allclose(
+            u, _reference_gauss_newton(model, s0, ref, u_w, alpha, GN_STEPS), rtol=1e-6)
+        assert loss == pytest.approx(model.loss_and_grad(s0, u, ref, alpha)[0], rel=1e-12)
+        assert losses[0] == pytest.approx(model.loss_and_grad(s0, u_w, ref, alpha)[0],
+                                          rel=1e-12)
+
+
+def test_exact_optimum_stays_put_bit_for_bit():
+    # r = 0 and a constant sequence: every term of the step's right-hand side is 0
+    N = 5
+    model = identity_model(N)
+    warm = np.full(N, 0.5)
+    u, loss, losses = optimize_commands(model, np.zeros(1), 0.5, warm,
+                                        OptimizerConfig(alpha=0.1, horizon=N))
+    assert np.array_equal(u, warm) and loss == 0.0 and not np.any(losses)
+
+
+def test_result_lies_within_the_limits():
+    model = random_dynamics_model()
+    lo, hi = model.u_limits
+    rng = np.random.default_rng(5)
+    N = model.horizon
+    for _ in range(20):
+        u, _, _ = optimize_commands(model, rng.normal(size=model.state_dim),
+                                    rng.uniform(-50.0, 50.0, size=N),
+                                    rng.uniform(-2.0, 3.0, size=N),
+                                    OptimizerConfig(alpha=rng.uniform(0.0, 1.0), horizon=N))
+        assert np.all((u >= lo) & (u <= hi))
 
 
 def test_best_so_far_contract():
     N = 4
     model = identity_model(N)
-    cfg = OptimizerConfig(alpha=0.0, beta=0.5, iterations=10, horizon=N)
+    cfg = OptimizerConfig(alpha=0.0, horizon=N)
     u0 = np.zeros(N)   # already the global optimum
     _, loss, losses = optimize_commands(model, np.zeros(1), 0.0, u0, cfg)
     assert loss <= losses[0] + 1e-15
     assert loss == pytest.approx(0.0, abs=1e-15)
 
 
-def test_flat_gradient_guard_stops_early():
-    N = 4
-    model = identity_model(N)
-    cfg = OptimizerConfig(alpha=0.0, beta=0.2, iterations=50, horizon=N)
-    _, _, losses = optimize_commands(model, np.zeros(1), 0.0, np.zeros(N), cfg)
-    assert losses.size == 1   # gradient exactly zero at the optimum
-
-
 def test_large_alpha_flattens_sequence():
     N = 8
     model = identity_model(N)
-    cfg = OptimizerConfig(alpha=1e6, beta=0.01, iterations=400, horizon=N)
+    cfg = OptimizerConfig(alpha=1e6, horizon=N)
     u0 = np.random.default_rng(0).uniform(0.0, 1.0, size=N)
     u, _, _ = optimize_commands(model, np.zeros(1), 0.0, u0, cfg)
     assert np.max(np.abs(np.diff(u))) < 1e-3
@@ -289,7 +342,7 @@ def test_dynamics_from_dict_rejects_unknown_version():
 
 def test_optimizer_config_validation():
     with pytest.raises(ValueError):
-        OptimizerConfig(beta=0.0)
+        OptimizerConfig(alpha=-1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(horizon=1)
     model = identity_model(4)
@@ -311,7 +364,7 @@ def test_mpc_holds_equilibrium(trained_stub):
     rig, model = trained_stub
     u_star = 0.5
     v_star = rig.gain * u_star / (1.0 - rig.decay)
-    cfg = OptimizerConfig(alpha=0.1, beta=0.02, iterations=30, horizon=10)
+    cfg = OptimizerConfig(alpha=0.1, horizon=10)
     u_cmd, warm, _ = mpc_control_step(model, np.array([v_star]), v_star,
                                       np.full(10, u_star), cfg)
     assert abs(u_cmd - u_star) < 0.02
@@ -319,7 +372,7 @@ def test_mpc_holds_equilibrium(trained_stub):
 
 def test_mpc_unreachable_target_pins_at_limit(trained_stub):
     rig, model = trained_stub
-    cfg = OptimizerConfig(alpha=0.0, beta=0.05, iterations=60, horizon=10)
+    cfg = OptimizerConfig(alpha=0.0, horizon=10)
     warm = None
     u_cmd = None
     for _ in range(5):

@@ -48,8 +48,11 @@ def test_scenario_validation():
         Scenario("bad", duration_s=0.0)
     with pytest.raises(ValueError):
         Scenario("bad", 10.0, events=[(1.0, "alien_invasion")])
-    s = Scenario("ok", 10.0, events=[(5.0, "light_blue"), (1.0, "light_red")])
-    assert [e[0] for e in s.events] == [1.0, 5.0]
+    for t in (-0.02, 10.0):   # an event fires on a tick in [0, duration_s) or never
+        with pytest.raises(ValueError, match="outside"):
+            Scenario("bad", 10.0, events=[(t, "light_red")])
+    s = Scenario("ok", 10.0, events=[(5.0, "light_blue"), (0.0, "light_red")])
+    assert [e[0] for e in s.events] == [0.0, 5.0]
 
 
 def test_report_serializes_infinity_as_never(tmp_path):
@@ -311,7 +314,7 @@ def test_cli_run_pretrains_static_model_once(tmp_path, monkeypatch):
     cfg = write_config(
         tmp_path, static=TINY_STATIC,
         scenario={"name": "tiny", "duration_s": 0.1, "controller": "learned"},
-        dynamics={"N": 3, "iterations": 2, "rollout_s": 1.0, "rms_threshold": 1e9,
+        dynamics={"N": 3, "rollout_s": 1.0, "rms_threshold": 1e9,
                   "train": {"learning_rate": 0.05, "batch_size": 16, "epochs": 1}})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
