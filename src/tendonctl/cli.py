@@ -124,8 +124,10 @@ def read_config(doc, seed=0):
     if "plant" in top:
         try:
             cfg.geom, cfg.car_cfg = geometry_from_description(top.pop("plant"))
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"plant: {exc}") from exc
+        except LookupError as exc:   # e.g. a joint's origin or limits given as an object
+            raise ConfigError(f"plant: {type(exc).__name__} {exc}") from exc
     _done(top, "")
     for attr, (name, target, keys, positive) in SCHEMA.items():
         section = sections.get(name, {} if name != "pid" else None)

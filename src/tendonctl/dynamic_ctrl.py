@@ -9,6 +9,7 @@ pullback through the net.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,6 +212,18 @@ def train_dynamics(dataset, u_limits, train_cfg=None, rms_threshold=0.3, seed=0)
     return model
 
 
+@lru_cache(maxsize=16)
+def _gn_matrices(N, alpha):
+    """I, a D'D and a D'D + mu I of optimize_commands, read-only."""
+    eye = np.eye(N)
+    D = np.diff(eye, axis=0)
+    smooth = (alpha / (N - 1)) * (D.T @ D)
+    damped = smooth + PROX_MU * eye
+    for a in (eye, smooth, damped):
+        a.flags.writeable = False
+    return eye, smooth, damped
+
+
 def optimize_commands(model, s0, s_ref, u_init, cfg):
     """GN_STEPS proximal Gauss-Newton steps on the command sequence.
 
@@ -234,10 +247,7 @@ def optimize_commands(model, s0, s_ref, u_init, cfg):
 
     folded = model.fold(np.asarray(s0, dtype=float))
     lo, hi = model.u_limits
-    eye = np.eye(N)
-    D = np.diff(eye, axis=0)
-    smooth = (cfg.alpha / (N - 1)) * (D.T @ D)
-    damped = smooth + PROX_MU * eye
+    eye, smooth, damped = _gn_matrices(N, cfg.alpha)
 
     def loss(r, u):
         d = u[1:] - u[:-1]

@@ -142,10 +142,14 @@ class MLPNetwork:
         a = self._check_input(x)
         acts = [] if acts is None else acts
         acts.append(a)
+        # bias and tanh in place on each fresh matmul result
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            a = np.tanh(a @ w.T + b)
+            a = a @ w.T
+            a += b
+            np.tanh(a, out=a)
             acts.append(a)
-        a = a @ self.weights[-1].T + self.biases[-1]
+        a = a @ self.weights[-1].T
+        a += self.biases[-1]
         acts.append(a)
         return a
 
@@ -163,13 +167,15 @@ class MLPNetwork:
                     weights and delta.shape != y.shape):
                 raise DimensionError("cotangent dimension mismatch")
             grads = [None] * self.n_layers if weights else None
+            one = delta.ndim == 1
             for i in range(self.n_layers - 1, -1, -1):
                 if weights:
-                    d2 = np.atleast_2d(delta)
-                    grads[i] = (d2.T @ np.atleast_2d(acts[i]), d2.sum(axis=0))
+                    d2, a2 = (delta[None], acts[i][None]) if one else (delta, acts[i])
+                    grads[i] = (d2.T @ a2, np.add.reduce(d2, axis=0))
                 delta = delta @ self.weights[i]
-                if i > 0:
-                    delta = delta * (1.0 - acts[i] ** 2)
+                if i > 0:   # times the tanh slope 1 - a^2, in place on fresh arrays
+                    slope = np.square(acts[i])
+                    delta *= np.subtract(1.0, slope, out=slope)
             return grads, delta
 
         return y, pullback
@@ -226,8 +232,10 @@ def sgd_step(net, X, Y, lr):
     pred, pullback = net.vjp(X)
     grads, _ = pullback(2.0 * (pred - Y) / Y.size)
     for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
-        w -= lr * dw
-        b -= lr * db
+        dw *= lr
+        w -= dw
+        db *= lr
+        b -= db
 
 
 def train(net, inputs, targets, cfg):

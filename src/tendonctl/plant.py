@@ -71,6 +71,12 @@ def elastic_elongation(params, tension):
     return params.slack + np.sqrt(f / params.k2)
 
 
+def _read_only(values, dtype=None):
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class MuscleGeometry:
     """Straight-line muscle paths over planar revolute chains.
 
@@ -97,10 +103,13 @@ class MuscleGeometry:
         self.muscles = list(muscles)
         self.n_joints = len(self.joints)
         self.n_muscles = len(self.muscles)
-        self.limits_lo = np.array([j.limits[0] for j in self.joints])
-        self.limits_hi = np.array([j.limits[1] for j in self.joints])
-        self.k2 = np.array([m.k2 for m in self.muscles], dtype=float)
-        self.slack = np.array([m.slack for m in self.muscles], dtype=float)
+        # read-only, so that the float lists built from them cannot go stale
+        self.limits_lo = _read_only([j.limits[0] for j in self.joints])
+        self.limits_hi = _read_only([j.limits[1] for j in self.joints])
+        self.k2 = _read_only([m.k2 for m in self.muscles], dtype=float)
+        self.slack = _read_only([m.slack for m in self.muscles], dtype=float)
+        self._limits = list(zip(self.limits_lo.tolist(), self.limits_hi.tolist()))
+        self._elastic = list(zip(self.k2.tolist(), self.slack.tolist()))
         self._offset = [float(m.length_offset) for m in self.muscles]
         self._parent = [j.parent for j in self.joints]
         self._origin = [(float(j.origin[0]), float(j.origin[1])) for j in self.joints]
@@ -134,8 +143,7 @@ class MuscleGeometry:
         theta = theta.tolist()
         tol = 1e-9
         # negated, so that a NaN angle fails too
-        if any(not lo - tol <= th <= hi + tol for th, lo, hi
-               in zip(theta, self.limits_lo.tolist(), self.limits_hi.tolist())):
+        if any(not lo - tol <= th <= hi + tol for th, (lo, hi) in zip(theta, self._limits)):
             raise JointRangeError(f"joint angles {theta} outside limits")
         return theta
 
@@ -145,7 +153,8 @@ class MuscleGeometry:
         angles = [0.0]
         for j, parent in enumerate(self._parent):
             angles.append(angles[parent] + theta[j])
-        cos, sin = np.cos(angles).tolist(), np.sin(angles).tolist()
+        angles_arr = np.array(angles)
+        cos, sin = np.cos(angles_arr).tolist(), np.sin(angles_arr).tolist()
         xs, ys = [0.0], [0.0]
         for parent, (ox, oy) in zip(self._parent, self._origin):
             c, s = cos[parent], sin[parent]
@@ -276,25 +285,22 @@ class Plant:
         l_ref = np.asarray(l_ref, dtype=float)
         if l_ref.shape != (geom.n_muscles,):
             raise ValueError("l_ref dimension mismatch")
-        if not (np.all(np.isfinite(l_ref)) and np.all(np.isfinite(state.theta))):
-            raise FloatingPointError("non-finite plant inputs")
         dt = PLANT_DT
         inertia, damping, spring_k = self.config.inertia, self.config.damping, self.config.spring_k
+        theta_dot, l_act, c, l_ref = (np.asarray(v, dtype=float).tolist()
+                                      for v in (state.theta_dot, state.l, state.c, l_ref))
+        if not all(map(math.isfinite, np.ravel(state.theta).tolist() + theta_dot + l_act + c
+                       + l_ref)):
+            raise FloatingPointError("non-finite plant state or command")
         theta = geom._check_theta(state.theta)
-        theta_dot, l_act, c = (np.asarray(v, dtype=float).tolist()
-                               for v in (state.theta_dot, state.l, state.c))
-        if not all(map(math.isfinite, theta_dot + l_act + c)):
-            raise FloatingPointError("non-finite plant state")
-        t, l_ref = state.t, l_ref.tolist()
-        joints = list(zip(self.constrained.tolist(), geom.limits_lo.tolist(),
-                          geom.limits_hi.tolist()))
-        muscles = list(zip(geom.k2.tolist(), geom.slack.tolist()))
+        t = state.t
+        joints = [(held, lo, hi) for held, (lo, hi) in zip(self.constrained.tolist(), geom._limits)]
         thetas = []
         for _ in range(STEPS_PER_TICK):
             l_act = [la + dt * (r - la) / TAU_SERVO for la, r in zip(l_act, l_ref)]
             l_geo, G = geom._paths(theta, jacobian=True)
             f = []   # elastic_tension of the stretch, on floats
-            for (k2, slack), lg, la in zip(muscles, l_geo, l_act):
+            for (k2, slack), lg, la in zip(geom._elastic, l_geo, l_act):
                 s = max(lg - la - slack, 0.0)
                 f.append(k2 * s * s)
             f_arr = np.array(f)

@@ -6,7 +6,6 @@ online from measured sensor triples, and estimates joint angles from
 muscle lengths/tensions with an EKF.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,19 @@ ONLINE_CAPACITY, ONLINE_BATCH, ONLINE_NEWEST, ONLINE_LR = 2000, 16, 8, 0.05
 
 
 class IntersensoryModel(nets.JSONPersisted):
-    """h(theta, f) -> l with a replay buffer for online refinement."""
+    """h(theta, f) -> l with a replay buffer for online refinement.
+
+    The buffer is a ring of the last ONLINE_CAPACITY triples, held as two
+    arrays of rows already mapped to the net's unit ranges: each triple is
+    scaled once, when it is inserted, and a batch is one gather."""
 
     def __init__(self, net, n_joints, n_muscles):
         self.net = net
         self.n_joints = n_joints
         self.n_muscles = n_muscles
-        self.buffer = deque(maxlen=ONLINE_CAPACITY)
+        self._ring_x = np.empty((ONLINE_CAPACITY, n_joints + n_muscles))
+        self._ring_l = np.empty((ONLINE_CAPACITY, n_muscles))
+        self._inserted = 0   # triples inserted so far; the ring holds the last ones
         self._rng = np.random.default_rng(0)
 
     def _pack(self, theta, f):
@@ -43,9 +48,10 @@ class IntersensoryModel(nets.JSONPersisted):
         f = np.asarray(f, dtype=float)
         if theta.shape != (self.n_joints,) or f.shape != (self.n_muscles,):
             raise ValueError("theta/f dimension mismatch")
-        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(f))):
+        x = np.concatenate([theta, f])
+        if not np.isfinite(x).all():
             raise FloatingPointError("non-finite model input")
-        return np.concatenate([theta, f])
+        return x
 
     def infer_command(self, theta_ref, f_ref):
         """Muscle length command realizing (theta_ref, f_ref).  Pure."""
@@ -69,20 +75,19 @@ class IntersensoryModel(nets.JSONPersisted):
         if l_meas.shape != (self.n_muscles,):
             raise ValueError("l dimension mismatch")
         x = self._pack(theta_meas, f_meas)
-        self.buffer.append((x, l_meas.copy()))
+        row = self._inserted % ONLINE_CAPACITY
+        self._ring_x[row] = self.net.in_scaler.to_unit(x)
+        self._ring_l[row] = self.net.out_scaler.to_unit(l_meas)
+        self._inserted += 1
 
-        n_new = min(ONLINE_NEWEST, len(self.buffer))
-        newest = [self.buffer[i] for i in range(len(self.buffer) - n_new, len(self.buffer))]
-        n_replay = min(ONLINE_BATCH - n_new, len(self.buffer))
-        if n_replay > 0:
-            idx = self._rng.integers(0, len(self.buffer), size=n_replay)
-            replay = [self.buffer[i] for i in idx]
-        else:
-            replay = []
-        batch = newest + replay
-        X = self.net.in_scaler.to_unit(np.array([b[0] for b in batch]))
-        Y = self.net.out_scaler.to_unit(np.array([b[1] for b in batch]))
-        nets.sgd_step(self.net, X, Y, ONLINE_LR)
+        # the newest, then replays drawn over the held triples, oldest = 0
+        end = self._inserted
+        size = min(end, ONLINE_CAPACITY)
+        n_new = min(ONLINE_NEWEST, size)
+        replay = self._rng.integers(0, size, size=min(ONLINE_BATCH - n_new, size))
+        rows = np.concatenate([np.arange(end - n_new, end), replay + (end - size)])
+        rows %= ONLINE_CAPACITY
+        nets.sgd_step(self.net, self._ring_x[rows], self._ring_l[rows], ONLINE_LR)
 
     def prediction_error(self, theta, f, l_meas):
         return np.abs(self.infer_command(theta, f) - np.asarray(l_meas, float))

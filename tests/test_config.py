@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tendonctl import cli, harness, static_ctrl
@@ -133,8 +133,15 @@ def mutated_configs(draw):
     return doc
 
 
+def ankle_joint(**change):
+    """The ankle description with its one joint changed."""
+    return dict(ANKLE, joints=[dict(ANKLE["joints"][0], **change)])
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated_configs())
+@example(dict(CONFIGS["pedal"], plant=ankle_joint(origin={})))   # once ended in KeyError: 0
+@example(dict(CONFIGS["pedal"], plant=ankle_joint(limits={})))
 def test_reader_returns_or_raises_config_error(doc):
     try:
         cli.read_config(doc)
@@ -165,12 +172,15 @@ def test_reader_returns_or_raises_config_error(doc):
     ({"dynamics": {"iterations": 30}}, "dynamics.iterations: unknown key"),
     ({"scenario": {"duration_s": 1.0, "events": [[5.0, "person_detected"]]}}, "5.0 s"),
     ({"scenario": {"duration_s": 1.0, "events": [[-3.0, "light_blue"]]}}, "-3.0 s"),
+    ({"plant": ankle_joint(origin={})}, "plant"),
+    ({"plant": ankle_joint(limits={})}, "plant"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
         "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
         "negative-car-creep", "removed-ekf-section", "removed-static-hidden",
         "removed-static-f_max", "removed-dynamics-beta", "removed-dynamics-iterations",
-        "event-after-the-end", "event-before-the-start"])
+        "event-after-the-end", "event-before-the-start", "joint-origin-object",
+        "joint-limits-object"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)

@@ -260,6 +260,21 @@ def test_best_so_far_contract():
     assert loss == pytest.approx(0.0, abs=1e-15)
 
 
+def test_gauss_newton_matrices_are_cached_read_only():
+    # built once per (N, alpha) and shared by every MPC tick, so no caller may write them
+    N, alpha = 6, 0.1
+    cached = dynamic_ctrl._gn_matrices(N, alpha)
+    assert cached is dynamic_ctrl._gn_matrices(N, alpha)
+    eye, smooth, damped = cached
+    D = np.diff(np.eye(N), axis=0)
+    assert np.array_equal(eye, np.eye(N))
+    assert np.array_equal(smooth, (alpha / (N - 1)) * (D.T @ D))
+    assert np.array_equal(damped, smooth + PROX_MU * np.eye(N))
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+
+
 def test_large_alpha_flattens_sequence():
     N = 8
     model = identity_model(N)

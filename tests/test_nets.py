@@ -233,15 +233,47 @@ def _train_data():
     return X, np.stack([np.sin(X[:, 0]) * X[:, 1], X[:, 2] ** 2], axis=1)
 
 
+def _shaped_data(n_rows, n_in, n_out, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n_rows, n_in))
+    return X, np.tanh(X @ rng.normal(size=(n_in, n_out)))
+
+
 def test_train_matches_reference_loop_bit_for_bit():
-    X, Y = _train_data()
-    cfg = TrainConfig(learning_rate=0.1, batch_size=16, epochs=15, seed=4)
-    net = MLPNetwork.seeded([3, 8, 6, 2], seed=7)
-    ref = MLPNetwork.seeded([3, 8, 6, 2], seed=7)
-    loss = train(net, X, Y, cfg)
-    assert np.array_equal(loss, [_reference_train(ref, X, Y, cfg)])
-    for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
-        assert np.array_equal(a, b)
+    # a small net, then h's and the dynamics net's shipped shapes and batch
+    # sizes; each row count leaves a short last batch
+    cases = [([3, 8, 6, 2], 16, 0.1, _train_data()),
+             ([3, 64, 64, 2], 64, 0.3, _shaped_data(180, 3, 2, 1)),
+             ([32, 64, 64, 25], 32, 0.05, _shaped_data(100, 32, 25, 2))]
+    for sizes, batch, lr, (X, Y) in cases:
+        cfg = TrainConfig(learning_rate=lr, batch_size=batch, epochs=15, seed=4)
+        net = MLPNetwork.seeded(sizes, seed=7)
+        ref = MLPNetwork.seeded(sizes, seed=7)
+        loss = train(net, X, Y, cfg)
+        assert np.array_equal(loss, [_reference_train(ref, X, Y, cfg)])
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+
+
+def test_one_sample_forward_and_jacobian_match_old_expressions_bit_for_bit():
+    # h's net with the EKF's H cotangents, and the MPC's folded net with its
+    # J cotangents; the reference allocates a fresh array per operation
+    for sizes, seed in (([3, 64, 64, 2], 1), ([25, 64, 64, 25], 2)):
+        net = MLPNetwork.seeded(sizes, seed=seed)
+        x = np.random.default_rng(seed).uniform(-1, 1, size=sizes[0])
+        acts = [x]
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            acts.append(np.tanh(acts[-1] @ w.T + b))
+        y = acts[-1] @ net.weights[-1].T + net.biases[-1]
+        J = np.eye(sizes[-1])
+        for i in range(net.n_layers - 1, -1, -1):
+            J = J @ net.weights[i]
+            if i > 0:
+                J = J * (1.0 - acts[i] ** 2)
+        assert np.array_equal(net.forward(x), y)
+        y_vjp, pullback = net.vjp(x)
+        assert np.array_equal(y_vjp, y)
+        assert np.array_equal(pullback(np.eye(sizes[-1]), weights=False)[1], J)
 
 
 def test_train_runs_one_forward_per_batch_and_one_for_the_loss():

@@ -309,6 +309,15 @@ def test_joint_limits_enforced():
         geom.muscle_lengths(np.zeros(2))
 
 
+@pytest.mark.parametrize("body", ["ankle", "arm"])
+def test_per_body_arrays_are_read_only(body):
+    # Plant.step and the angle check read float lists built from these once
+    geom = BODIES[body]()
+    for name in ("limits_lo", "limits_hi", "k2", "slack"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(geom, name)[0] = 0.5
+
+
 def test_muscle_spec_validation():
     with pytest.raises(ValueError):
         MuscleSpec("bad", [(0, (0.0, 0.0))])

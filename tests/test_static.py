@@ -2,6 +2,7 @@
 
 import copy
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -131,17 +132,23 @@ def test_buffer_evicts_oldest_first():
     model = _unit_model()
     for k in range(ONLINE_CAPACITY + 2):
         model.online_update(np.array([k / ONLINE_CAPACITY]), np.zeros(2), np.zeros(2))
-    assert len(model.buffer) == ONLINE_CAPACITY
-    oldest_theta = model.buffer[0][0][0]
-    assert oldest_theta == 2 / ONLINE_CAPACITY   # triples 0 and 1 evicted
+    assert model._inserted == ONLINE_CAPACITY + 2
+    # triples 0 and 1 were overwritten by the two past capacity; the oldest
+    # held one (triple 2) sits in the row the next insert will take
+    unit = lambda k: model.net.in_scaler.to_unit(np.array([k / ONLINE_CAPACITY, 0.0, 0.0]))
+    assert np.array_equal(model._ring_x[0], unit(ONLINE_CAPACITY))
+    assert np.array_equal(model._ring_x[1], unit(ONLINE_CAPACITY + 1))
+    oldest_row = model._inserted % ONLINE_CAPACITY
+    assert np.array_equal(model._ring_x[oldest_row], unit(2))
 
 
 def _reference_online_update(model, rng, buffer, theta, f, l):
-    """The update as it stood with its own batch step (the reference): 8
-    newest triples, 8 replayed, one MSE step at rate 0.05."""
+    """The update as it stood with its own batch step and a deque of raw
+    triples (the reference): 8 newest triples, 8 replayed, one MSE step at
+    rate 0.05."""
     buffer.append((np.concatenate([theta, f]), l.copy()))
     n_new = min(8, len(buffer))
-    newest = buffer[-n_new:]
+    newest = [buffer[i] for i in range(len(buffer) - n_new, len(buffer))]
     n_replay = min(16 - n_new, len(buffer))
     replay = [buffer[i] for i in rng.integers(0, len(buffer), size=n_replay)] \
         if n_replay > 0 else []
@@ -156,9 +163,11 @@ def _reference_online_update(model, rng, buffer, theta, f, l):
 
 
 def test_online_update_matches_reference_bit_for_bit():
+    # past capacity, so that the ring's wrap-around meets the deque's
+    # eviction of the oldest triples
     model, ref = _unit_model(), _unit_model()
-    rng, buffer = np.random.default_rng(0), []
-    data = np.random.default_rng(9).uniform(-1, 1, size=(30, 5))
+    rng, buffer = np.random.default_rng(0), deque(maxlen=ONLINE_CAPACITY)
+    data = np.random.default_rng(9).uniform(-1, 1, size=(ONLINE_CAPACITY + 40, 5))
     for row in data:
         model.online_update(row[:1], row[1:3], row[3:])
         _reference_online_update(ref, rng, buffer, row[:1], row[1:3], row[3:])
@@ -176,15 +185,24 @@ def test_online_update_validates_dimensions(static_model):
 
 
 def test_model_round_trip(tmp_path, static_model):
-    path = tmp_path / "model.json"
-    static_model.save(path)
-    back = IntersensoryModel.load(path)
+    model = copy.deepcopy(static_model)
     theta = np.array([0.4])
     f = np.full(2, 55.0)
-    assert np.array_equal(back.infer_command(theta, f),
-                          static_model.infer_command(theta, f))
+    l = model.infer_command(theta, f) + 1e-3
+    for k in range(20):
+        model.online_update(theta + 0.01 * k, f, l)
+    path = tmp_path / "model.json"
+    model.save(path)
+    back = IntersensoryModel.load(path)
+    assert np.array_equal(back.infer_command(theta, f), model.infer_command(theta, f))
     assert back.n_joints == 1 and back.n_muscles == 2
-    assert len(back.buffer) == 0   # replay buffer is transient
+    # the replay buffer is transient: the loaded model's first online update
+    # is that of a fresh model of the same net
+    fresh = IntersensoryModel(copy.deepcopy(model.net), 1, 2)
+    back.online_update(theta, f, l)
+    fresh.online_update(theta, f, l)
+    for a, b in zip(back.net.weights + back.net.biases, fresh.net.weights + fresh.net.biases):
+        assert np.array_equal(a, b)
 
 
 def test_older_document_with_online_and_seed_loads_bit_identically(static_model):
