@@ -111,21 +111,22 @@ class DynamicsModel(nets.JSONPersisted):
         unless the net carries both scalers and maps state_dim + horizon
         inputs to horizon >= 2 outputs, and u_limits has lo < hi."""
         nets.check_version(d)
-        net = MLPNetwork.from_dict(d["net"])
-        n_s, N, lims = d["state_dim"], d["horizon"], d["u_limits"]
+        net = MLPNetwork.from_dict(nets.field(d, "net", dict, "dynamics model"))
+        n_s, N = (nets.field(d, key, int, "dynamics model") for key in ("state_dim", "horizon"))
+        lo, hi = nets.finite_array(nets.field(d, "u_limits", list, "dynamics model"), (2,),
+                                   "dynamics model.u_limits")
         if net.in_scaler is None or net.out_scaler is None:
             raise nets.ModelFormatError("dynamics model: its net has no input_range "
                                         "or output_range")
-        n_in, sizes = n_s + N, net.layer_sizes
-        if (N < 2 or sizes[0] != n_in or sizes[-1] != N
-                or net.in_scaler.lo.shape != (n_in,) or net.out_scaler.lo.shape != (N,)):
+        sizes = net.layer_sizes
+        if n_s < 0 or N < 2 or sizes[0] != n_s + N or sizes[-1] != N:
             raise nets.ModelFormatError(
-                f"dynamics model: net layers {sizes} and scalers do not map state_dim "
+                f"dynamics model: net layers {sizes} do not map state_dim "
                 f"{n_s} + horizon {N} inputs to horizon >= 2 outputs")
-        if len(lims) != 2 or not lims[0] < lims[1]:
-            raise nets.ModelFormatError(f"dynamics model: u_limits {lims} are not "
+        if not lo < hi:
+            raise nets.ModelFormatError(f"dynamics model: u_limits [{lo}, {hi}] are not "
                                         "[lo, hi] with lo < hi")
-        return cls(net, n_s, N, lims)
+        return cls(net, n_s, N, (lo, hi))
 
 
 def random_command_profile(duration_s, u_limits, seed):

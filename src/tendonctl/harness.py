@@ -372,13 +372,14 @@ def run_ekf_experiment(model, duration_s=10.0, noise_m=5e-4, burn_in_s=1.0, seed
     """Track a sinusoidal joint trajectory from noisy muscle lengths."""
     geom = default_ankle_geometry()
     f_ref = np.full(geom.n_muscles, F_BIAS)
+    elongation = elastic_elongation(geom, f_ref)   # f_ref is constant: once, not per tick
     rng = np.random.default_rng(seed)
     est = EKFEstimator.create(np.full(geom.n_joints, EKF_MEAN), geom.n_muscles)
     times = np.arange(ticks(duration_s)) * CTRL_DT
     errors = []
     for t in times:
         theta_true = np.array([EKF_MEAN + EKF_AMP * np.sin(2 * np.pi * t / EKF_PERIOD)])
-        l_meas = (_geometric_commands(geom, theta_true, f_ref)
+        l_meas = (geom.muscle_lengths(theta_true) - elongation
                   + rng.normal(0.0, noise_m, size=geom.n_muscles))
         est = ekf_step(est, model, l_meas, f_ref)
         errors.append(est.theta_est - theta_true)

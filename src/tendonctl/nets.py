@@ -27,9 +27,43 @@ class ModelVersionError(ModelFormatError):
 
 
 def check_version(d):
-    """Reject a persisted model document written under another VERSION."""
+    """Reject a persisted model document that is not a JSON object written
+    under this VERSION."""
+    if not isinstance(d, dict):
+        raise ModelFormatError(f"model document: expected an object, got {type(d).__name__}")
     if d.get("version") != VERSION:
         raise ModelVersionError(f"unsupported model version {d.get('version')}")
+
+
+_JSON_KINDS = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def field(d, key, kind, where):
+    """``d[key]`` of the object ``d`` if it is a JSON ``kind`` (int, list or
+    dict), else ModelFormatError."""
+    if key not in d:
+        raise ModelFormatError(f"{where}: missing key {key!r}")
+    value = d[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ModelFormatError(f"{where}.{key}: expected {_JSON_KINDS[kind]}, "
+                               f"got {type(value).__name__}")
+    return value
+
+
+def finite_array(value, shape, where):
+    """``value`` as a float array of ``shape`` holding finite numbers only,
+    else ModelFormatError."""
+    try:
+        a = np.array(value)
+    except (TypeError, ValueError, OverflowError):   # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise ModelFormatError(f"{where}: expected an array of numbers")
+    if a.shape != shape:
+        raise ModelFormatError(f"{where}: shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ModelFormatError(f"{where}: non-finite number")
+    return a.astype(float)
 
 
 class JSONPersisted:
@@ -41,38 +75,54 @@ class JSONPersisted:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        with open(path, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, too deep
+                raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
+        return cls.from_dict(doc)
 
 
 @dataclass
 class FeatureScaler:
-    """Per-feature min-max map between physical units and [-1, 1]."""
+    """Per-feature min-max map between physical units and [-1, 1].
+
+    ``lo``, ``hi``, their span and both scales are built once, as read-only
+    copies, so that no caller can make the span stale; copies and deep
+    copies are built by the constructor and are read-only too."""
 
     lo: np.ndarray
     hi: np.ndarray
 
     def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
+        self.lo = np.array(self.lo, dtype=float)
+        self.hi = np.array(self.hi, dtype=float)
         if self.lo.shape != self.hi.shape:
             raise DimensionError("scaler lo/hi shape mismatch")
         if np.any(self.hi <= self.lo):
             raise ValueError("scaler ranges must have hi > lo")
+        self._span = self.hi - self.lo
+        self._to_unit = 2.0 / self._span
+        self._from_unit = self._span / 2.0
+        for a in (self.lo, self.hi, self._span, self._to_unit, self._from_unit):
+            a.flags.writeable = False
+
+    def __reduce__(self):
+        return FeatureScaler, (self.lo, self.hi)
 
     def to_unit(self, x):
-        return 2.0 * (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo) - 1.0
+        return 2.0 * (np.asarray(x, dtype=float) - self.lo) / self._span - 1.0
 
     def from_unit(self, u):
-        return self.lo + (np.asarray(u, dtype=float) + 1.0) * (self.hi - self.lo) / 2.0
+        return self.lo + (np.asarray(u, dtype=float) + 1.0) * self._span / 2.0
 
     def to_unit_scale(self):
         """d(unit)/d(physical), per feature."""
-        return 2.0 / (self.hi - self.lo)
+        return self._to_unit
 
     def from_unit_scale(self):
         """d(physical)/d(unit), per feature."""
-        return (self.hi - self.lo) / 2.0
+        return self._from_unit
 
 
 @dataclass
@@ -155,13 +205,15 @@ class MLPNetwork:
 
     def vjp(self, x):
         """Output at x (one sample or a batch on the leading axis) and its
-        pullback ``(dL_dy, weights=True) -> (weight_grads or None, dL_dx)``;
-        weight_grads are (dW, db) per layer summed over the batch.  Without
-        weights, one sample's pullback takes a batch of cotangents too."""
+        pullback ``(dL_dy, weights=True, inputs=True) -> (weight_grads or
+        None, dL_dx or None)``; weight_grads are (dW, db) per layer summed
+        over the batch.  Without weights, one sample's pullback takes a batch
+        of cotangents too.  The pullback reads no more of y than its shape,
+        so a caller may form its cotangent in y's array."""
         acts = []
         y = self.forward(x, acts)
 
-        def pullback(dL_dy, weights=True):
+        def pullback(dL_dy, weights=True, inputs=True):
             delta = np.asarray(dL_dy, dtype=float)
             if delta.shape[-1] != self.layer_sizes[-1] or (
                     weights and delta.shape != y.shape):
@@ -172,6 +224,8 @@ class MLPNetwork:
                 if weights:
                     d2, a2 = (delta[None], acts[i][None]) if one else (delta, acts[i])
                     grads[i] = (d2.T @ a2, np.add.reduce(d2, axis=0))
+                if i == 0 and not inputs:
+                    return grads, None
                 delta = delta @ self.weights[i]
                 if i > 0:   # times the tanh slope 1 - a^2, in place on fresh arrays
                     slope = np.square(acts[i])
@@ -206,19 +260,40 @@ class MLPNetwork:
     @classmethod
     def from_dict(cls, d):
         """The net of a ``to_dict`` document; a ``"seed"`` entry, which older
-        documents carry, is not read."""
+        documents carry, is not read.  Raises ModelFormatError unless there
+        are two or more positive layer sizes, the weights and biases chain
+        them, every number is finite and each scaler has hi > lo over its
+        end's layer."""
         check_version(d)
-        in_s = out_s = None
-        if "input_range" in d:
-            in_s = FeatureScaler(np.array(d["input_range"]["lo"]),
-                                 np.array(d["input_range"]["hi"]))
-        if "output_range" in d:
-            out_s = FeatureScaler(np.array(d["output_range"]["lo"]),
-                                  np.array(d["output_range"]["hi"]))
-        return cls(d["layer_sizes"],
-                   [np.array(w) for w in d["weights"]],
-                   [np.array(b) for b in d["biases"]],
-                   in_scaler=in_s, out_scaler=out_s)
+        sizes = field(d, "layer_sizes", list, "net")
+        if len(sizes) < 2 or not all(type(n) is int and n > 0 for n in sizes):
+            raise ModelFormatError(f"net.layer_sizes: expected two or more positive "
+                                   f"integers, got {sizes}")
+        shapes = list(zip(sizes[1:], sizes[:-1]))
+        weights, biases = field(d, "weights", list, "net"), field(d, "biases", list, "net")
+        if len(weights) != len(shapes) or len(biases) != len(shapes):
+            raise ModelFormatError(f"net: {len(shapes)} layers, but {len(weights)} weight "
+                                   f"matrices and {len(biases)} bias vectors")
+        weights = [finite_array(w, s, f"net.weights[{i}]")
+                   for i, (w, s) in enumerate(zip(weights, shapes))]
+        biases = [finite_array(b, s[:1], f"net.biases[{i}]")
+                  for i, (b, s) in enumerate(zip(biases, shapes))]
+        return cls(sizes, weights, biases, _scaler(d, "input_range", sizes[0]),
+                   _scaler(d, "output_range", sizes[-1]))
+
+
+def _scaler(d, key, n):
+    """The scaler of the net document's ``d[key]`` over n features, or None
+    without one; else ModelFormatError."""
+    if key not in d:
+        return None
+    r = field(d, key, dict, "net")
+    lo, hi = (finite_array(field(r, end, list, f"net.{key}"), (n,), f"net.{key}.{end}")
+              for end in ("lo", "hi"))
+    try:
+        return FeatureScaler(lo, hi)
+    except ValueError as exc:   # hi <= lo
+        raise ModelFormatError(f"net.{key}: {exc}") from None
 
 
 def mse_loss(net, X, Y):
@@ -229,8 +304,11 @@ def mse_loss(net, X, Y):
 def sgd_step(net, X, Y, lr):
     """One in-place SGD step at rate ``lr`` on the mean-squared error of the
     batch (X, Y), over every layer's weights and biases."""
-    pred, pullback = net.vjp(X)
-    grads, _ = pullback(2.0 * (pred - Y) / Y.size)
+    err, pullback = net.vjp(X)
+    err -= Y          # 2 (pred - Y) / Y.size, formed in the prediction's array
+    err *= 2.0
+    err /= Y.size
+    grads, _ = pullback(err, inputs=False)
     for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
         dw *= lr
         w -= dw

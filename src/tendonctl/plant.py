@@ -116,8 +116,10 @@ class MuscleGeometry:
         # chain[L]: the joints on link L's chain to the base
         chain = [set()]
         for j_idx, j in enumerate(self.joints):
-            if j.parent > j_idx:
-                raise ValueError(f"joint {j.name}: parent link must precede it")
+            p = j.parent
+            if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p <= j_idx:
+                raise ValueError(f"joint {j.name}: parent {p!r} is not a link index that "
+                                 f"precedes it, in 0..{j_idx}")
             chain.append(chain[j.parent] | {j_idx})
         self._points = [(link, float(x), float(y))
                         for m in self.muscles for link, (x, y) in m.attachments]

@@ -7,6 +7,7 @@ muscle lengths/tensions with an EKF.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class IntersensoryModel(nets.JSONPersisted):
         in_scale = self.net.in_scaler.to_unit_scale()[:self.n_joints]
         out_scale = self.net.out_scaler.from_unit_scale()
         y, pullback = self.net.vjp(x)
-        _, dx = pullback(np.eye(self.n_muscles), weights=False)
+        _, dx = pullback(_identity(self.n_muscles), weights=False)
         return (self.net.out_scaler.from_unit(y),
                 out_scale[:, None] * dx[:, :self.n_joints] * in_scale)
 
@@ -102,9 +103,19 @@ class IntersensoryModel(nets.JSONPersisted):
     @classmethod
     def from_dict(cls, d):
         """The model of a ``to_dict`` document; an ``"online"`` entry, which
-        older documents carry, is not read."""
+        older documents carry, is not read.  Raises nets.ModelFormatError
+        unless the net carries both scalers and maps n_joints + n_muscles
+        inputs to n_muscles outputs, with one or more of each."""
         nets.check_version(d)
-        return cls(MLPNetwork.from_dict(d["net"]), d["n_joints"], d["n_muscles"])
+        net = MLPNetwork.from_dict(nets.field(d, "net", dict, "h"))
+        n_j, n_m = (nets.field(d, key, int, "h") for key in ("n_joints", "n_muscles"))
+        if net.in_scaler is None or net.out_scaler is None:
+            raise nets.ModelFormatError("h: its net has no input_range or output_range")
+        if min(n_j, n_m) < 1 or net.layer_sizes[0] != n_j + n_m or net.layer_sizes[-1] != n_m:
+            raise nets.ModelFormatError(
+                f"h: net layers {net.layer_sizes} do not map n_joints {n_j} + n_muscles "
+                f"{n_m} inputs to n_muscles outputs")
+        return cls(net, n_j, n_m)
 
 
 def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,
@@ -171,6 +182,14 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,
 EKF_Q, EKF_R, EKF_P0 = 1e-2, 1e-6, 1e-2
 
 
+@lru_cache(maxsize=16)
+def _identity(n):
+    """np.eye(n), read-only: h's cotangents and the EKF's update read it."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass
 class EKFEstimator:
     theta_est: np.ndarray
@@ -206,6 +225,6 @@ def ekf_step(est, model, l_meas, f_meas):
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular innovation covariance; R must be positive definite") from exc
     theta_new = theta + K @ (l_meas - h)
-    P_new = (np.eye(theta.size) - K @ H) @ P
+    P_new = (_identity(theta.size) - K @ H) @ P
     P_new = 0.5 * (P_new + P_new.T)
     return EKFEstimator(theta_est=theta_new, P=P_new, Q=est.Q, R=est.R)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tendonctl import cli, harness, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel, train_dynamics
-from tendonctl.nets import FeatureScaler, MLPNetwork
+from tendonctl.nets import FeatureScaler, MLPNetwork, ModelFormatError
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
@@ -105,11 +105,10 @@ def containers(node, path=()):
 
 
 @st.composite
-def mutated_configs(draw):
-    """A shipped config (or one with a plant section) with keys added, dropped
-    or misspelled and values replaced, at any depth."""
-    doc = copy.deepcopy(draw(st.sampled_from(
-        [*CONFIGS.values(), dict(CONFIGS["pedal"], plant=ANKLE)])))
+def mutated(draw, docs):
+    """One of the JSON documents ``docs`` with keys added, dropped or
+    misspelled and values replaced, at any depth."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(containers(doc))))
         node = doc
@@ -139,7 +138,7 @@ def ankle_joint(**change):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(mutated_configs())
+@given(mutated([*CONFIGS.values(), dict(CONFIGS["pedal"], plant=ANKLE)]))
 @example(dict(CONFIGS["pedal"], plant=ankle_joint(origin={})))   # once ended in KeyError: 0
 @example(dict(CONFIGS["pedal"], plant=ankle_joint(limits={})))
 def test_reader_returns_or_raises_config_error(doc):
@@ -174,13 +173,17 @@ def test_reader_returns_or_raises_config_error(doc):
     ({"scenario": {"duration_s": 1.0, "events": [[-3.0, "light_blue"]]}}, "-3.0 s"),
     ({"plant": ankle_joint(origin={})}, "plant"),
     ({"plant": ankle_joint(limits={})}, "plant"),
+    ({"plant": ankle_joint(parent=-1)}, "joint ankle_pitch: parent -1"),
+    ({"plant": ankle_joint(parent=0.0)}, "joint ankle_pitch: parent 0.0"),
+    ({"plant": ankle_joint(parent=True)}, "joint ankle_pitch: parent True"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
         "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
         "negative-car-creep", "removed-ekf-section", "removed-static-hidden",
         "removed-static-f_max", "removed-dynamics-beta", "removed-dynamics-iterations",
         "event-after-the-end", "event-before-the-start", "joint-origin-object",
-        "joint-limits-object"])
+        "joint-limits-object", "joint-parent-negative", "joint-parent-float",
+        "joint-parent-bool"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
@@ -302,13 +305,94 @@ def test_cli_malformed_dynamics_model_exits_1(defect, named, tmp_path, no_traini
     assert_one_line_error(code, capsys, "dynamics model", named)
 
 
+def scaled_net(sizes):
+    """An untrained net of ``sizes`` carrying both scalers."""
+    return MLPNetwork.seeded(sizes, seed=0,
+                             in_scaler=FeatureScaler(-np.ones(sizes[0]), np.ones(sizes[0])),
+                             out_scaler=FeatureScaler(np.zeros(sizes[-1]), np.ones(sizes[-1])))
+
+
 def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys):
     # h of a 2-joint, 6-muscle arm against the config's ankle is refused when
     # the stack is built, not at the first tick
-    arm_h = static_ctrl.IntersensoryModel(MLPNetwork.seeded([8, 4, 6], seed=0), 2, 6)
+    arm_h = static_ctrl.IntersensoryModel(scaled_net([8, 4, 6]), 2, 6)
     arm_h.save(tmp_path / "arm_h.json")
     code = run_cli(tmp_path, ["collect", "--static-model", str(tmp_path / "arm_h.json")])
     assert_one_line_error(code, capsys, "2 joints and 6 muscles", "has 1 and 2")
+
+
+@pytest.mark.parametrize("defect,named", [
+    (b"{", "invalid JSON"),
+    (b"\xff", "invalid JSON"),
+    (b"[" * 100_000, "invalid JSON"),
+    (b"[]", "expected an object, got list"),
+    (lambda d: d.pop("net"), "missing key 'net'"),
+    (lambda d: d.update(n_joints=1.0), "h.n_joints: expected an integer"),
+    (lambda d: d["net"]["weights"][1].pop(), "net.weights[1]: shape (63, 64)"),
+    (lambda d: d["net"]["weights"][0][0].__setitem__(0, float("nan")),
+     "net.weights[0]: non-finite"),
+    (lambda d: d["net"]["input_range"].update(hi=d["net"]["input_range"]["lo"]),
+     "net.input_range: scaler ranges must have hi > lo"),
+    (lambda d: d["net"].pop("output_range"), "output_range"),
+    (lambda d: d.update(net=scaled_net([3, 4, 3]).to_dict()), "h: net layers [3, 4, 3]"),
+], ids=["not-json", "not-utf-8", "nested-too-deep", "json-list", "no-net", "joints-not-an-integer",
+        "weights-do-not-chain", "nan-weight", "scaler-hi-not-above-lo", "no-output-scaler",
+        "three-outputs-for-two-muscles"])
+def test_cli_malformed_static_model_exits_1(defect, named, tmp_path, static_model,
+                                            no_training, capsys):
+    # each ended in a traceback: on loading, or at the EKF's first tick
+    path = tmp_path / "h.json"
+    if isinstance(defect, bytes):
+        path.write_bytes(defect)
+    else:
+        doc = static_model.to_dict()
+        defect(doc)
+        path.write_text(json.dumps(doc))
+    code = run_cli(tmp_path, ["experiment", "ekf", "--static-model", str(path)])
+    assert_one_line_error(code, capsys, named)
+
+
+H_DOC = static_ctrl.IntersensoryModel(scaled_net([3, 4, 2]), 1, 2).to_dict()
+MODEL_DOCUMENTS = [
+    (static_ctrl.IntersensoryModel, H_DOC),
+    (DynamicsModel, DynamicsModel(scaled_net([5, 4, 3]), 2, 3, (0.0, 0.6)).to_dict()),
+    (MLPNetwork, H_DOC["net"]),
+]
+
+
+def use(model):
+    """Run the loaded model once on zeros, as its first caller would."""
+    if isinstance(model, static_ctrl.IntersensoryModel):
+        model.length_jacobian_theta(np.zeros(model.n_joints), np.zeros(model.n_muscles))
+    elif isinstance(model, DynamicsModel):
+        model.fold(np.zeros(model.state_dim)).forward(np.zeros(model.horizon))
+    else:   # a bare net's scalers are optional
+        n_in, n_out = model.layer_sizes[0], model.layer_sizes[-1]
+        model.forward(np.zeros(n_in))
+        if model.in_scaler is not None:
+            model.in_scaler.to_unit(np.zeros(n_in))
+        if model.out_scaler is not None:
+            model.out_scaler.from_unit(np.zeros(n_out))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(MODEL_DOCUMENTS).flatmap(
+    lambda case: mutated([case[1]]).map(lambda doc: (case[0], doc))))
+@example((static_ctrl.IntersensoryModel, dict(H_DOC, n_joints=2)))
+@example((MLPNetwork, {"version": 1, "layer_sizes": [3], "weights": [], "biases": []}))
+@example((MLPNetwork, dict(H_DOC["net"], biases=[[0.0] * 4, [0.0, float("nan")]])))
+def test_model_readers_return_a_usable_model_or_raise_model_format_error(case):
+    cls, doc = case
+    try:
+        model = cls.from_dict(doc)
+    except ModelFormatError:
+        return
+    net = model if isinstance(model, MLPNetwork) else model.net
+    scalers = [sc for sc in (net.in_scaler, net.out_scaler) if sc is not None]
+    assert all(np.isfinite(a).all() for a in net.weights + net.biases
+               + [a for sc in scalers for a in (sc.lo, sc.hi)])
+    with np.errstate(all="ignore"):   # huge finite weights may overflow to inf
+        use(model)
 
 
 # -- the rollout archive -----------------------------------------------------

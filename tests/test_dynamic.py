@@ -330,6 +330,31 @@ def random_dynamics_model(state_dim=3, N=6, seed=0):
     return DynamicsModel(net, state_dim, N, (0.0, 1.0))
 
 
+def test_fold_of_a_one_layer_net_matches_predict_and_writes_nothing():
+    # with one layer the s0-shifted first bias is the last bias the output
+    # scale folds; asymmetric ranges and a nonzero bias show a slip there
+    # (identity_model's symmetric ranges and zero bias hide it)
+    rng = np.random.default_rng(6)
+    n_s, N = 2, 4
+    lo = rng.uniform(-3.0, -1.0, size=n_s + N)
+    net = MLPNetwork([n_s + N, N], [rng.normal(size=(N, n_s + N))], [rng.normal(size=N)],
+                     in_scaler=FeatureScaler(lo, lo + rng.uniform(0.5, 4.0, lo.size)),
+                     out_scaler=FeatureScaler(np.array([0.5, -1.0, 2.0, 0.0]),
+                                              np.array([1.5, 2.0, 2.5, 2.0])))
+    model = DynamicsModel(net, n_s, N, (0.0, 1.0))
+    shared = [a for sc in (net.in_scaler, net.out_scaler)
+              for a in (sc.lo, sc.hi, sc.to_unit_scale(), sc.from_unit_scale())]
+    assert not any(a.flags.writeable for a in shared)
+    read = net.weights + net.biases + shared
+    before = [a.copy() for a in read]
+    for _ in range(5):
+        s0, u = rng.uniform(-1.0, 1.0, size=n_s), rng.uniform(-1.0, 2.0, size=N)
+        np.testing.assert_allclose(model.fold(s0).forward(u), model.predict(s0, u),
+                                   rtol=1e-12, atol=1e-12)
+    # fold reads the net and the shared scaler arrays and writes into none
+    assert all(np.array_equal(a, b) for a, b in zip(read, before))
+
+
 @pytest.mark.parametrize("model", [random_dynamics_model(), identity_model(5)],
                          ids=["mlp", "one_layer"])
 def test_objective_matches_unfused_reference(model):

@@ -1,5 +1,6 @@
 """MLP forward/backward/train contracts, checked against independent oracles."""
 
+import copy
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from tendonctl import nets
 from tendonctl.nets import (DimensionError, FeatureScaler, MLPNetwork,
                             TrainConfig, finite_difference_input_grad,
-                            mse_loss, train)
+                            mse_loss, sgd_step, train)
 
 
 def rel_err(a, b):
@@ -276,6 +277,31 @@ def test_one_sample_forward_and_jacobian_match_old_expressions_bit_for_bit():
         assert np.array_equal(pullback(np.eye(sizes[-1]), weights=False)[1], J)
 
 
+def test_sgd_step_matches_old_expression_bit_for_bit():
+    # the old step formed 2 (pred - Y) / Y.size in fresh arrays and ran the
+    # whole pullback, the discarded input gradient included
+    for sizes, rows, seed in (([4, 3], 5, 3), ([3, 64, 64, 2], 16, 1),
+                              ([32, 64, 64, 25], 32, 2)):
+        X, Y = _shaped_data(rows, sizes[0], sizes[-1], seed)
+        net, ref = MLPNetwork.seeded(sizes, seed=seed), MLPNetwork.seeded(sizes, seed=seed)
+        for _ in range(3):
+            sgd_step(net, X, Y, 0.1)
+            pred, pullback = ref.vjp(X)
+            grads, _ = pullback(2.0 * (pred - Y) / Y.size)
+            for (w, b), (dw, db) in zip(zip(ref.weights, ref.biases), grads):
+                w -= 0.1 * dw
+                b -= 0.1 * db
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(a, b)
+        # without inputs, the pullback stops before dL/dx with the same grads
+        cot = np.ones((rows, sizes[-1]))
+        _, pullback = net.vjp(X)
+        grads, dx = pullback(cot, inputs=False)
+        assert dx is None
+        for (dw, db), (rw, rb) in zip(grads, pullback(cot)[0]):
+            assert np.array_equal(dw, rw) and np.array_equal(db, rb)
+
+
 def test_train_runs_one_forward_per_batch_and_one_for_the_loss():
     X, Y = _train_data()
     net = MLPNetwork.seeded([3, 8, 2], seed=7)
@@ -353,6 +379,35 @@ def test_scaler_round_trip_and_scales():
     assert np.allclose(sc.to_unit(sc.lo), [-1, -1])
     assert np.allclose(sc.to_unit(sc.hi), [1, 1])
     assert np.allclose(sc.to_unit_scale() * sc.from_unit_scale(), 1.0)
+
+
+def test_scaler_maps_match_old_expressions_bit_for_bit():
+    # the old maps and scales each formed hi - lo afresh
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 25):
+        lo = rng.uniform(-5.0, 5.0, n)
+        hi = lo + rng.uniform(0.01, 10.0, n)
+        sc = FeatureScaler(lo, hi)
+        x = rng.uniform(-10.0, 10.0, size=(7, n))
+        assert np.array_equal(sc.to_unit(x), 2.0 * (x - lo) / (hi - lo) - 1.0)
+        assert np.array_equal(sc.to_unit(x[0]), 2.0 * (x[0] - lo) / (hi - lo) - 1.0)
+        assert np.array_equal(sc.from_unit(x), lo + (x + 1.0) * (hi - lo) / 2.0)
+        assert np.array_equal(sc.to_unit_scale(), 2.0 / (hi - lo))
+        assert np.array_equal(sc.from_unit_scale(), (hi - lo) / 2.0)
+
+
+def test_scaler_arrays_are_read_only_copies():
+    lo, hi = np.array([-2.0, 0.0]), np.array([2.0, 10.0])
+    sc = FeatureScaler(lo, hi)
+    net = MLPNetwork.seeded([2, 1], seed=0, in_scaler=sc)
+    for s in (sc, copy.copy(sc), copy.deepcopy(sc), copy.deepcopy(net).in_scaler):
+        for a in (s.lo, s.hi, s.to_unit_scale(), s.from_unit_scale()):
+            assert not a.flags.writeable
+        assert np.array_equal(s.lo, lo) and np.array_equal(s.hi, hi)
+    # the caller's arrays stay the caller's: writeable, and not shared
+    assert lo.flags.writeable and hi.flags.writeable
+    lo[0] = -4.0
+    assert sc.lo[0] == -2.0 and sc.to_unit(np.zeros(2))[0] == 0.0
 
 
 def test_scaler_validation():

@@ -7,8 +7,9 @@ from collections import deque
 import numpy as np
 import pytest
 
+from tendonctl import static_ctrl
 from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
-from tendonctl.plant import (ANKLE_PLANT_CONFIG, Plant, default_ankle_geometry,
+from tendonctl.plant import (ANKLE_PLANT_CONFIG, CTRL_DT, Plant, default_ankle_geometry,
                              elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
                                    IntersensoryModel, ONLINE_CAPACITY, ekf_step,
@@ -300,15 +301,19 @@ def _reference_length_jacobian(model, theta, f):
     return H
 
 
-def test_length_jacobian_matches_per_muscle_loop(static_model):
-    rng = np.random.default_rng(4)
-    arm = IntersensoryModel(
+def _arm_model():
+    """An untrained h of the arm's 2 joints and 6 muscles."""
+    return IntersensoryModel(
         MLPNetwork.seeded([8, 12, 6], seed=3,
                           in_scaler=FeatureScaler(np.r_[-1.0, -1.5, np.zeros(6)],
                                                   np.r_[1.0, 1.5, np.full(6, 120.0)]),
                           out_scaler=FeatureScaler(np.full(6, 0.1), np.full(6, 0.4))),
         n_joints=2, n_muscles=6)
-    for model in (static_model, arm):
+
+
+def test_length_jacobian_matches_per_muscle_loop(static_model):
+    rng = np.random.default_rng(4)
+    for model in (static_model, _arm_model()):
         for _ in range(5):
             theta = rng.uniform(-0.5, 0.5, size=model.n_joints)
             f = rng.uniform(0.0, 100.0, size=model.n_muscles)
@@ -317,3 +322,46 @@ def test_length_jacobian_matches_per_muscle_loop(static_model):
                                        rtol=1e-12, atol=0)
             # the lengths of the same pass are infer_command's, bit for bit
             assert np.array_equal(l, model.infer_command(theta, f))
+
+
+def _old_length_jacobian(model, theta, f):
+    """length_jacobian_theta as it was: spans, scales and an identity per call."""
+    (i_lo, i_hi), (o_lo, o_hi) = ((s.lo, s.hi) for s in (model.net.in_scaler,
+                                                       model.net.out_scaler))
+    x = 2.0 * (np.concatenate([theta, f]) - i_lo) / (i_hi - i_lo) - 1.0
+    in_scale = (2.0 / (i_hi - i_lo))[:model.n_joints]
+    out_scale = (o_hi - o_lo) / 2.0
+    y, pullback = model.net.vjp(x)
+    _, dx = pullback(np.eye(model.n_muscles), weights=False)
+    return (o_lo + (y + 1.0) * (o_hi - o_lo) / 2.0,
+            out_scale[:, None] * dx[:, :model.n_joints] * in_scale)
+
+
+def _old_ekf_step(est, model, l_meas, f_meas):
+    """ekf_step as it was: np.eye per call, on the old Jacobian."""
+    P = est.P + est.Q * CTRL_DT
+    theta = est.theta_est
+    h, H = _old_length_jacobian(model, theta, f_meas)
+    S = H @ P @ H.T + est.R
+    K = np.linalg.solve(S, H @ P).T
+    P_new = (np.eye(theta.size) - K @ H) @ P
+    return theta + K @ (l_meas - h), 0.5 * (P_new + P_new.T)
+
+
+def test_length_jacobian_and_ekf_step_match_old_expressions_bit_for_bit(static_model):
+    rng = np.random.default_rng(8)
+    for model in (static_model, _arm_model()):
+        est = EKFEstimator.create(np.zeros(model.n_joints), model.n_muscles)
+        for _ in range(25):
+            theta = rng.uniform(-0.5, 0.5, size=model.n_joints)
+            f = rng.uniform(0.0, 100.0, size=model.n_muscles)
+            l, H = model.length_jacobian_theta(theta, f)
+            l_old, H_old = _old_length_jacobian(model, theta, f)
+            assert np.array_equal(l, l_old) and np.array_equal(H, H_old)
+            l_meas = l_old + rng.normal(0.0, 1e-3, size=model.n_muscles)
+            theta_old, P_old = _old_ekf_step(est, model, l_meas, f)
+            est = ekf_step(est, model, l_meas, f)
+            assert np.array_equal(est.theta_est, theta_old) and np.array_equal(est.P, P_old)
+    # the identity both read is built once per size, read-only
+    assert static_ctrl._identity(2) is static_ctrl._identity(2)
+    assert not static_ctrl._identity(2).flags.writeable
