@@ -7,10 +7,12 @@ failure under --assert.
 """
 
 import argparse
+import dataclasses
 import inspect
 import json
 import os
 import sys
+import typing
 import zipfile
 
 import numpy as np
@@ -21,10 +23,11 @@ from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_scenario, train_pedal_dynamics)
 from .nets import ModelFormatError, TrainConfig
-from .plant import CarConfig, default_ankle_geometry, geometry_from_description, ticks
+from .plant import CarConfig, MuscleGeometry, default_ankle_geometry, ticks
 from .static_ctrl import InitializationError, IntersensoryModel
 
 CONFIG_VERSION = 1
+DESCRIPTION_VERSION = 1   # of the body description in the config's plant section
 ROLLOUT_VERSION = 1   # of the rollout.npz archive that collect writes
 ROLLOUT_KEYS = ("version", "S0", "U", "Y", "u_lo", "u_hi")
 
@@ -53,7 +56,7 @@ def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, nested too deep
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -64,7 +67,20 @@ def _object(value, path):
 
 
 def _checked(path, value, kind, positive):
-    """``value`` if it is a JSON ``kind``, else ConfigError."""
+    """``value`` if it is a JSON ``kind``, else ConfigError.  A dataclass kind
+    is an object read by _read; ``tuple[...]`` is an array of one item per
+    kind and ``list[...]`` one of one or more, read into a tuple or a list."""
+    if dataclasses.is_dataclass(kind):
+        return _read(value, path, kind)
+    array, kinds = typing.get_origin(kind), typing.get_args(kind)
+    if array:
+        items = _checked(path, value, list, False)
+        if array is list:
+            kinds *= len(items)
+        if not items or len(items) != len(kinds):
+            raise ConfigError(f"{path}: expected {len(kinds) or 'one or more'} items, got {items}")
+        return array(_checked(f"{path}[{i}]", v, k, positive)
+                     for i, (v, k) in enumerate(zip(items, kinds)))
     types = {float: (int, float), int: int, str: str, list: list}
     ok = isinstance(value, types.get(kind, ())) and not isinstance(value, bool)
     if ok and kind in (int, float):   # finite as a float: no NaN, inf or huge int
@@ -74,13 +90,13 @@ def _checked(path, value, kind, positive):
     return value
 
 
-def _take(section, path, target, keys, positive, seed):
-    """Pop the keyword arguments ``keys`` of ``target`` from a config section,
-    each checked against the type of its parameter's annotation or default.
-    A ``train`` section's TrainConfig takes ``seed``, as the default one does."""
+def _take(section, path, target, keys, positive, seed=0):
+    """Pop the keyword arguments ``keys`` of ``target`` (all by default) from a
+    config section, each checked against the type of its parameter's annotation
+    or default.  A ``train`` section's TrainConfig takes ``seed``, as the default does."""
     params = inspect.signature(target).parameters
     kwargs = {}
-    for name in keys.split():
+    for name in keys.split() if keys else params:
         key, _, param = name.partition(":")
         p, at = params[param or key], f"{path}.{key}"
         if key not in section:
@@ -88,11 +104,7 @@ def _take(section, path, target, keys, positive, seed):
                 raise ConfigError(f"{at}: missing")
             kwargs[p.name] = p.default
         elif key == "train":
-            train = _object(section.pop(key), at)
-            kwargs[p.name] = _build(at, TrainConfig, dict(_take(
-                train, at, TrainConfig, TRAIN_KEYS, False, seed),
-                seed=seed))
-            _done(train, f"{at}.")
+            kwargs[p.name] = _read(section.pop(key), at, TrainConfig, TRAIN_KEYS, seed=seed)
         else:
             kind = type(p.default) if p.annotation is p.empty else p.annotation
             kwargs[p.name] = _checked(at, section.pop(key), kind, positive)
@@ -111,6 +123,16 @@ def _build(path, cls, kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _read(value, path, cls, keys=None, **fixed):
+    """A ``cls`` built from the JSON object ``value``, which holds ``keys``
+    (all of ``cls``'s parameters by default) and no other key, and from the
+    keyword arguments ``fixed``."""
+    section = _object(value, path)
+    kwargs = _take(section, path, cls, keys, False)
+    _done(section, f"{path}.")
+    return _build(path, cls, dict(kwargs, **fixed))
+
+
 def read_config(doc, seed=0):
     """Check the whole document and read it by the SCHEMA, ``plant`` into
     ``geom`` and ``car_cfg``.  Raises ConfigError."""
@@ -122,12 +144,16 @@ def read_config(doc, seed=0):
     cfg = argparse.Namespace(doc=doc, n_set="N" in sections.get("dynamics", {}),
                              geom=default_ankle_geometry(), car_cfg=CarConfig())
     if "plant" in top:
+        plant = _object(top.pop("plant"), "plant")
+        version = plant.pop("version", None)
+        if version != DESCRIPTION_VERSION:
+            raise ConfigError(f"plant.version: expected {DESCRIPTION_VERSION}, got {version!r}")
+        cfg.car_cfg = _read(plant.pop("car", {}), "plant.car", CarConfig)
+        cfg.geom = _read(plant, "plant", MuscleGeometry)
         try:
-            cfg.geom, cfg.car_cfg = geometry_from_description(top.pop("plant"))
-        except (TypeError, ValueError) as exc:
+            cfg.geom.validate_antagonism()
+        except ValueError as exc:
             raise ConfigError(f"plant: {exc}") from exc
-        except LookupError as exc:   # e.g. a joint's origin or limits given as an object
-            raise ConfigError(f"plant: {type(exc).__name__} {exc}") from exc
     _done(top, "")
     for attr, (name, target, keys, positive) in SCHEMA.items():
         section = sections.get(name, {} if name != "pid" else None)
@@ -231,8 +257,10 @@ def _read_rollout(path):
             a = {k: data[k] for k in ROLLOUT_KEYS}
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"{path}: unreadable rollout archive ({exc})") from exc
-    if any(v.dtype.kind not in "fiu" for v in a.values()):
-        raise ConfigError(f"{path}: non-numeric array in the rollout archive")
+    for k, v in a.items():
+        if v.dtype.kind not in "fiu" or not np.isfinite(v).all():
+            raise ConfigError(f"{path}: the rollout archive's {k!r} array holds a "
+                              f"non-numeric or non-finite value")
     version, lo, hi = (a[k] for k in ("version", "u_lo", "u_hi"))
     if version.shape or version != ROLLOUT_VERSION:
         raise ConfigError(f"{path}: rollout archive version {version}; expected {ROLLOUT_VERSION}")

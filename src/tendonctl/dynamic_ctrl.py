@@ -206,7 +206,7 @@ def train_dynamics(dataset, u_limits, train_cfg=None, rms_threshold=0.3, seed=0)
     # the first predicted step of every held-out window, in one batch
     pred1 = out_scaler.from_unit(net.forward(in_scaler.to_unit(X[hold])))[:, 0]
     rms = float(np.sqrt(np.mean((pred1 - Y[hold, 0]) ** 2)))
-    if rms > rms_threshold:
+    if not rms <= rms_threshold:   # NaN too
         raise TrainingThresholdError(
             f"held-out one-step RMS {rms:.3f} above {rms_threshold}")
     model.holdout_rms = rms

@@ -22,17 +22,13 @@ class ModelFormatError(ValueError):
     """Raised when a persisted model document does not describe a usable model."""
 
 
-class ModelVersionError(ModelFormatError):
-    """Raised when a persisted model carries an unsupported version."""
-
-
 def check_version(d):
     """Reject a persisted model document that is not a JSON object written
     under this VERSION."""
     if not isinstance(d, dict):
         raise ModelFormatError(f"model document: expected an object, got {type(d).__name__}")
     if d.get("version") != VERSION:
-        raise ModelVersionError(f"unsupported model version {d.get('version')}")
+        raise ModelFormatError(f"unsupported model version {d.get('version')}")
 
 
 _JSON_KINDS = {int: "an integer", list: "an array", dict: "an object"}
@@ -245,7 +241,7 @@ class MLPNetwork:
     def to_dict(self):
         d = {
             "version": VERSION,
-            "layer_sizes": self.layer_sizes,
+            "layer_sizes": list(self.layer_sizes),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
         }
@@ -325,16 +321,13 @@ def train(net, inputs, targets, cfg):
     """
     X = np.asarray(inputs, dtype=float)
     Y = np.asarray(targets, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    if not (X.ndim == Y.ndim == 2 and X.shape[1] == net.layer_sizes[0]
+            and Y.shape[1] == net.layer_sizes[-1]):
+        raise DimensionError("dataset dimensions do not match the network")
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
     if X.shape[0] != Y.shape[0]:
         raise DimensionError("inputs/targets length mismatch")
-    if X.shape[1] != net.layer_sizes[0] or Y.shape[1] != net.layer_sizes[-1]:
-        raise DimensionError("dataset dimensions do not match the network")
 
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]

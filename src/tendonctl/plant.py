@@ -16,7 +16,6 @@ import numpy as np
 CTRL_DT = 0.02       # control tick [s]
 PLANT_DT = 0.005     # integration step [s]
 STEPS_PER_TICK = 4
-DESCRIPTION_VERSION = 1
 
 
 def ticks(seconds):
@@ -38,15 +37,15 @@ class JointRangeError(ValueError):
 @dataclass
 class JointSpec:
     name: str
-    parent: int                # parent link index (0 = base)
-    origin: tuple              # mount point in the parent link frame [m]
-    limits: tuple              # (lo, hi) [rad]
+    parent: int                    # parent link index (0 = base)
+    origin: tuple[float, float]    # mount point in the parent link frame [m]
+    limits: tuple[float, float]    # (lo, hi) [rad]
 
 
 @dataclass
 class MuscleSpec:
     name: str
-    attachments: list          # [(link_index, (x, y)), ...] in link frames
+    attachments: list[tuple[int, tuple[float, float]]]   # (link_index, (x, y)) in link frames
     k2: float = 1.0e6          # quadratic stiffness [N/m^2]
     slack: float = 0.0         # stretch below which tension is zero [m]
     length_offset: float = 0.0  # calibration bias added to the path length [m]
@@ -98,7 +97,7 @@ class MuscleGeometry:
     (ankle) and 7 (arm).
     """
 
-    def __init__(self, joints, muscles):
+    def __init__(self, joints: list[JointSpec], muscles: list[MuscleSpec]):
         self.joints = list(joints)
         self.muscles = list(muscles)
         self.n_joints = len(self.joints)
@@ -379,27 +378,7 @@ def car_step(car, cfg, pedals, brake):
 
 
 # --------------------------------------------------------------------------
-# body descriptions and the default desk-scale body
-
-
-def geometry_from_description(doc):
-    """Geometry and car of a body description: its joints, muscles and car are
-    keyword arguments of JointSpec, MuscleSpec and CarConfig.  Raises
-    ValueError or TypeError on a bad document or a non-antagonistic body."""
-    doc = dict(doc)
-    if doc.pop("version", None) != DESCRIPTION_VERSION:
-        raise ValueError(f"unsupported plant description version; expected {DESCRIPTION_VERSION}")
-    try:
-        joints = [JointSpec(**j) for j in doc.pop("joints")]
-        muscles = [MuscleSpec(**m) for m in doc.pop("muscles")]
-    except KeyError as exc:
-        raise ValueError(f"missing section {exc}") from exc
-    car = CarConfig(**doc.pop("car", {}))
-    if doc:
-        raise ValueError(f"unknown key {sorted(doc)[0]!r}")
-    geom = MuscleGeometry(joints, muscles)
-    geom.validate_antagonism()
-    return geom, car
+# the default desk-scale bodies
 
 
 K2 = 1.0e7   # the default bodies' quadratic muscle stiffness [N/m^2]

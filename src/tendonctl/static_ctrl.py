@@ -167,7 +167,7 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,
         cont = TrainConfig(learning_rate=lr, batch_size=cfg.batch_size,
                            epochs=max(1, cfg.epochs // 3), seed=cfg.seed + 1)
         (loss,) = nets.train(net, Xu, Yu, cont)
-    if loss > loss_threshold:
+    if not loss <= loss_threshold:   # a NaN loss leaves the loop above at once
         raise InitializationError(
             f"geometric pre-training loss {loss:.3e} above {loss_threshold:.1e}")
     return IntersensoryModel(net, geom.n_joints, geom.n_muscles)

@@ -2,8 +2,10 @@
 checked against the config, one pre-training call, README commands."""
 
 import copy
+import dataclasses
 import inspect
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tendonctl import cli, harness, static_ctrl
+from tendonctl import cli, harness, plant, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel, train_dynamics
 from tendonctl.nets import FeatureScaler, MLPNetwork, ModelFormatError
 
@@ -137,15 +139,59 @@ def ankle_joint(**change):
     return dict(ANKLE, joints=[dict(ANKLE["joints"][0], **change)])
 
 
+def ankle_muscle(**change):
+    """The ankle description with its first muscle changed."""
+    return dict(ANKLE, muscles=[dict(ANKLE["muscles"][0], **change), *ANKLE["muscles"][1:]])
+
+
+def numbers(node):
+    """Every number in nested tuples and lists."""
+    if isinstance(node, (tuple, list)):
+        for item in node:
+            yield from numbers(item)
+    elif isinstance(node, (int, float)):
+        yield node
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(mutated([*CONFIGS.values(), dict(CONFIGS["pedal"], plant=ANKLE)]))
 @example(dict(CONFIGS["pedal"], plant=ankle_joint(origin={})))   # once ended in KeyError: 0
 @example(dict(CONFIGS["pedal"], plant=ankle_joint(limits={})))
+@example(dict(CONFIGS["pedal"], plant=ankle_muscle(k2=float("nan"))))   # once read silently
 def test_reader_returns_or_raises_config_error(doc):
     try:
-        cli.read_config(doc)
+        cfg = cli.read_config(doc)
     except cli.ConfigError:
-        pass
+        return
+    body = [*cfg.geom.joints, *cfg.geom.muscles, cfg.car_cfg]
+    assert all(math.isfinite(x) for spec in body for x in numbers(dataclasses.astuple(spec)))
+
+
+# -- the body description ----------------------------------------------------
+
+
+def test_description_matches_default_ankle():
+    cfg = cli.read_config({"version": 1, "plant": ANKLE})
+    ref = plant.default_ankle_geometry()
+    assert cfg.car_cfg == plant.CarConfig(a_max=25.0, delay_s=0.2)
+    assert [m.name for m in cfg.geom.muscles] == [m.name for m in ref.muscles]
+    for theta in np.linspace(-0.2, 0.8, 11):
+        assert np.array_equal(cfg.geom.muscle_lengths([theta]), ref.muscle_lengths([theta]))
+
+
+def test_description_version_check():
+    with pytest.raises(cli.ConfigError, match="plant.version"):
+        cli.read_config({"version": 1, "plant": dict(ANKLE, version=42)})
+
+
+@pytest.mark.parametrize("change", [
+    {"car": {"steer_gain": 40.0}},
+    {"gears": 5},
+    {"muscles": ANKLE["muscles"][:1]},
+], ids=["removed-car-key", "unknown-key", "one-muscle-per-joint"])
+def test_description_rejects_bad_documents(change):
+    with pytest.raises(cli.ConfigError):
+        cli.read_config({"version": 1, "plant": dict(ANKLE, **change)})
 
 
 # -- config defects end in one line, before any training --------------------
@@ -174,8 +220,23 @@ def test_reader_returns_or_raises_config_error(doc):
     ({"plant": ankle_joint(origin={})}, "plant"),
     ({"plant": ankle_joint(limits={})}, "plant"),
     ({"plant": ankle_joint(parent=-1)}, "joint ankle_pitch: parent -1"),
-    ({"plant": ankle_joint(parent=0.0)}, "joint ankle_pitch: parent 0.0"),
-    ({"plant": ankle_joint(parent=True)}, "joint ankle_pitch: parent True"),
+    ({"plant": ankle_joint(parent=0.0)}, "plant.joints[0].parent"),
+    ({"plant": ankle_joint(parent=True)}, "plant.joints[0].parent"),
+    ({"plant": ankle_muscle(k2=float("nan"))}, "plant.muscles[0].k2"),
+    ({"plant": ankle_muscle(k2=float("inf"))}, "plant.muscles[0].k2"),
+    ({"plant": ankle_muscle(slack=float("nan"))}, "plant.muscles[0].slack"),
+    ({"plant": ankle_muscle(length_offset=float("inf"))}, "plant.muscles[0].length_offset"),
+    ({"plant": dict(ANKLE, car={"a_max": float("nan")})}, "plant.car.a_max"),
+    ({"plant": ankle_joint(name=3)}, "plant.joints[0].name"),
+    ({"plant": ankle_joint(limits=[-float("inf"), float("inf")])}, "plant.joints[0].limits[0]"),
+    ({"plant": ankle_joint(origin=[0.0])}, "plant.joints[0].origin: expected 2 items"),
+    ({"plant": ankle_muscle(attachments=[[0, [-0.08, float("inf")]], [1, [0.08, 0.03]]])},
+     "plant.muscles[0].attachments[0][1][1]"),
+    ({"plant": ankle_muscle(attachments=[[0.0, [-0.08, 0.03]], [1, [0.08, 0.03]]])},
+     "plant.muscles[0].attachments[0][0]"),
+    ({"plant": dict(ANKLE, joints=[], muscles=[
+        dict(m, attachments=[[0, [0.0, 0.0]], [0, [0.1, 0.0]]]) for m in ANKLE["muscles"]])},
+     "plant.joints: expected one or more"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
         "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
@@ -183,7 +244,10 @@ def test_reader_returns_or_raises_config_error(doc):
         "removed-static-f_max", "removed-dynamics-beta", "removed-dynamics-iterations",
         "event-after-the-end", "event-before-the-start", "joint-origin-object",
         "joint-limits-object", "joint-parent-negative", "joint-parent-float",
-        "joint-parent-bool"])
+        "joint-parent-bool", "muscle-k2-nan", "muscle-k2-infinite", "muscle-slack-nan",
+        "muscle-offset-infinite", "car-a_max-nan", "joint-name-number",
+        "joint-limits-infinite", "joint-origin-one-number", "attachment-infinite",
+        "attachment-link-float", "no-joints"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
@@ -198,6 +262,14 @@ def test_cli_run_time_defect_exits_1(argv, sections, named, tmp_path, no_trainin
     # each of these used to pass the reader and end in a traceback later
     code = run_cli(tmp_path, argv, **sections)
     assert_one_line_error(code, capsys, named)
+
+
+def test_cli_config_nested_too_deep_exits_1(tmp_path, no_training, capsys):
+    # once a RecursionError traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert_one_line_error(code, capsys, "invalid JSON")
 
 
 def test_rollout_of_two_windows_reads():
@@ -424,7 +496,9 @@ def test_collect_writes_what_train_dynamics_reads(tmp_path, static_model_path):
     ({"version": 2}, 40, "version 2"),
     ({"Y": np.zeros((40, 9))}, 40, "windows"),
     ({}, 1, "at least two"),
-], ids=["missing-U", "no-version", "other-version", "shape-mismatch", "one-window"])
+    ({"Y": np.full((40, 10), np.nan)}, 40, "archive's 'Y' array holds a non-numeric or non-finite"),
+], ids=["missing-U", "no-version", "other-version", "shape-mismatch", "one-window",
+        "nan-target"])
 def test_cli_bad_rollout_archive_exits_1(arrays, n, named, tmp_path, no_training, capsys):
     data = write_rollout(tmp_path / "rollout.npz", n=n, **arrays)
     code = run_cli(tmp_path, ["train-dynamics", "--data", data])

@@ -168,6 +168,16 @@ def test_training_threshold_error_carries_metrics():
     assert "held-out one-step RMS" in str(exc.value)
 
 
+def test_training_threshold_refuses_a_nan_rms():
+    # one NaN target makes the hold-out RMS NaN; NaN > threshold is False
+    rng = np.random.default_rng(0)
+    S0, U, Y = rng.normal(size=(40, 2)), rng.uniform(size=(40, 4)), rng.normal(size=(40, 4))
+    Y[0, 1] = np.nan
+    with pytest.raises(TrainingThresholdError, match="nan"):
+        train_dynamics((S0, U, Y), (0.0, 1.0), train_cfg=TrainConfig(epochs=2),
+                       rms_threshold=1e9)
+
+
 def test_empty_dataset_raises():
     with pytest.raises(ValueError):
         train_dynamics((np.empty((0, 1)), np.empty((0, 5)), np.empty((0, 5))),

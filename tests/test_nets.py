@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tendonctl import nets
-from tendonctl.nets import (DimensionError, FeatureScaler, MLPNetwork,
+from tendonctl.nets import (DimensionError, FeatureScaler, MLPNetwork, ModelFormatError,
                             TrainConfig, finite_difference_input_grad,
                             mse_loss, sgd_step, train)
 
@@ -358,6 +358,11 @@ def test_train_rejects_bad_dataset():
         train(net, np.zeros((4, 2)), np.zeros((3, 1)), TrainConfig())
     with pytest.raises(DimensionError):
         train(net, np.zeros((4, 3)), np.zeros((4, 1)), TrainConfig())
+    one = MLPNetwork.seeded([1, 1], seed=0)   # 1-D arrays are not read as columns
+    with pytest.raises(DimensionError):
+        train(one, np.zeros(4), np.zeros((4, 1)), TrainConfig())
+    with pytest.raises(DimensionError):
+        train(one, np.zeros((4, 1)), np.zeros(4), TrainConfig())
 
 
 def test_train_config_validation():
@@ -439,8 +444,14 @@ def test_serialization_round_trip_exact(tmp_path):
 def test_from_dict_rejects_unknown_version():
     d = MLPNetwork.seeded([1, 1], seed=0).to_dict()
     d["version"] = 99
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError, match="version 99"):
         MLPNetwork.from_dict(d)
+
+
+def test_to_dict_does_not_share_the_layer_sizes():
+    net = MLPNetwork.seeded([2, 3, 1], seed=0)
+    net.to_dict()["layer_sizes"].append(7)
+    assert net.layer_sizes == [2, 3, 1]
 
 
 def test_mse_loss_value():

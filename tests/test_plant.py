@@ -1,4 +1,4 @@
-"""Plant simulator: geometry, elasticity, dynamics, car model, descriptions."""
+"""Plant simulator: geometry, elasticity, dynamics, car model."""
 
 import json
 import os
@@ -15,8 +15,7 @@ from tendonctl.plant import (ANKLE_PLANT_CONFIG, ARM_PLANT_CONFIG, C_AMBIENT, CT
                              CarConfig, CarState, JointRangeError, JointSpec,
                              MuscleGeometry, MuscleSpec, Plant, PlantState, car_drag,
                              car_step, default_ankle_geometry, default_arm_geometry,
-                             elastic_elongation, elastic_tension,
-                             geometry_from_description, ticks)
+                             elastic_elongation, elastic_tension, ticks)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -542,35 +541,3 @@ def test_pedal_transport_delay():
         if k < n_delay:
             assert car.v_car == pytest.approx(v0)   # step not yet through the delay
     assert car.v_car > v0
-
-
-# -- body descriptions -----------------------------------------------------
-
-
-# default_ankle_geometry() written out by hand, with a non-default car
-with open(os.path.join(FIXTURES, "ankle_description.json")) as fh:
-    ANKLE_DESCRIPTION = json.load(fh)
-
-
-def test_description_matches_default_ankle():
-    geom, car = geometry_from_description(ANKLE_DESCRIPTION)
-    ref = default_ankle_geometry()
-    assert car == CarConfig(a_max=25.0, delay_s=0.2)
-    assert [m.name for m in geom.muscles] == [m.name for m in ref.muscles]
-    for theta in np.linspace(-0.2, 0.8, 11):
-        assert np.array_equal(geom.muscle_lengths([theta]), ref.muscle_lengths([theta]))
-
-
-def test_description_version_check():
-    with pytest.raises(ValueError):
-        geometry_from_description(dict(ANKLE_DESCRIPTION, version=42))
-
-
-@pytest.mark.parametrize("change", [
-    {"car": {"steer_gain": 40.0}},
-    {"gears": 5},
-    {"muscles": ANKLE_DESCRIPTION["muscles"][:1]},
-], ids=["removed-car-key", "unknown-key", "one-muscle-per-joint"])
-def test_description_rejects_bad_documents(change):
-    with pytest.raises((TypeError, ValueError)):
-        geometry_from_description(dict(ANKLE_DESCRIPTION, **change))

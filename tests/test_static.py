@@ -3,14 +3,15 @@
 import copy
 import json
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tendonctl import static_ctrl
 from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
-from tendonctl.plant import (ANKLE_PLANT_CONFIG, CTRL_DT, Plant, default_ankle_geometry,
-                             elastic_elongation)
+from tendonctl.plant import (ANKLE_PLANT_CONFIG, CTRL_DT, MuscleGeometry, Plant,
+                             default_ankle_geometry, elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
                                    IntersensoryModel, ONLINE_CAPACITY, ekf_step,
                                    init_from_geometry)
@@ -55,6 +56,15 @@ def test_init_threshold_failure_raises(ankle_geom):
         init_from_geometry(ankle_geom, grid_points=5, f_samples=4,
                            train_cfg=TrainConfig(learning_rate=1e-6, epochs=1),
                            loss_threshold=1e-12)
+
+
+def test_init_refuses_a_nan_loss(ankle_geom):
+    # a NaN slack makes NaN targets and weights; NaN > threshold is False
+    muscles = [replace(m) for m in ankle_geom.muscles]
+    muscles[0].slack = float("nan")
+    with pytest.raises(InitializationError, match="nan"):
+        init_from_geometry(MuscleGeometry(ankle_geom.joints, muscles), grid_points=3,
+                           f_samples=2, train_cfg=TrainConfig(epochs=1), loss_threshold=1e9)
 
 
 # -- inference -------------------------------------------------------------
