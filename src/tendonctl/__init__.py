@@ -1,7 +1,7 @@
 """Learning-based control stack for a tendon-driven robot on driving tasks.
 
 Submodules:
-  nets          dense MLPs with exact weight/input gradients
+  nets          dense MLPs with exact weight/input gradients; the JSON document reader
   plant         deterministic muscle-joint + car simulator (ground truth)
   static_ctrl   intersensory length model, online learning, EKF estimation
   dynamic_ctrl  learned task dynamics and command-sequence optimization

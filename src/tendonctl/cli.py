@@ -7,12 +7,8 @@ failure under --assert.
 """
 
 import argparse
-import dataclasses
-import inspect
-import json
 import os
 import sys
-import typing
 import zipfile
 
 import numpy as np
@@ -22,7 +18,7 @@ from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
                            TrainingThresholdError, collect_rollout, train_dynamics)
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_scenario, train_pedal_dynamics)
-from .nets import ModelFormatError, TrainConfig
+from .nets import DocumentError, _build, _done, _object, _take, load_json, read
 from .plant import CarConfig, MuscleGeometry, default_ankle_geometry, ticks
 from .static_ctrl import InitializationError, IntersensoryModel
 
@@ -34,8 +30,8 @@ ROLLOUT_KEYS = ("version", "S0", "U", "Y", "u_lo", "u_hi")
 # The config schema.  Attribute of the read config: (section, what takes its
 # keys, the keys as "key" or "key:parameter", whether their numbers must be
 # positive).  A key left out takes its parameter's default; "train" holds a
-# TrainConfig's TRAIN_KEYS.  Bound at import: a wrapped module attribute hides
-# a signature.
+# TrainConfig's nets.TRAIN_KEYS.  Bound at import: a wrapped module attribute
+# hides a signature.
 SCHEMA = {
     "scenario": ("scenario", Scenario, "name duration_s v_ref events controller", False),
     "static": ("static", static_ctrl.init_from_geometry,
@@ -45,100 +41,18 @@ SCHEMA = {
     "opt_cfg": ("dynamics", OptimizerConfig, "alpha", False),
     "pid_gains": ("pid", PIDController, "kp ki kd", False),
 }
-TRAIN_KEYS = "learning_rate batch_size epochs"
 
 
 class ConfigError(Exception):
-    pass
-
-
-def load_config(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, nested too deep
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-
-
-def _object(value, path):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object, got {value!r}")
-    return dict(value)
-
-
-def _checked(path, value, kind, positive):
-    """``value`` if it is a JSON ``kind``, else ConfigError.  A dataclass kind
-    is an object read by _read; ``tuple[...]`` is an array of one item per
-    kind and ``list[...]`` one of one or more, read into a tuple or a list."""
-    if dataclasses.is_dataclass(kind):
-        return _read(value, path, kind)
-    array, kinds = typing.get_origin(kind), typing.get_args(kind)
-    if array:
-        items = _checked(path, value, list, False)
-        if array is list:
-            kinds *= len(items)
-        if not items or len(items) != len(kinds):
-            raise ConfigError(f"{path}: expected {len(kinds) or 'one or more'} items, got {items}")
-        return array(_checked(f"{path}[{i}]", v, k, positive)
-                     for i, (v, k) in enumerate(zip(items, kinds)))
-    types = {float: (int, float), int: int, str: str, list: list}
-    ok = isinstance(value, types.get(kind, ())) and not isinstance(value, bool)
-    if ok and kind in (int, float):   # finite as a float: no NaN, inf or huge int
-        ok = abs(value) <= sys.float_info.max and (value > 0 or not positive)
-    if not ok:
-        raise ConfigError(f"{path}: expected {kind.__name__}{' > 0' * positive}, got {value!r}")
-    return value
-
-
-def _take(section, path, target, keys, positive, seed=0):
-    """Pop the keyword arguments ``keys`` of ``target`` (all by default) from a
-    config section, each checked against the type of its parameter's annotation
-    or default.  A ``train`` section's TrainConfig takes ``seed``, as the default does."""
-    params = inspect.signature(target).parameters
-    kwargs = {}
-    for name in keys.split() if keys else params:
-        key, _, param = name.partition(":")
-        p, at = params[param or key], f"{path}.{key}"
-        if key not in section:
-            if p.default is p.empty:
-                raise ConfigError(f"{at}: missing")
-            kwargs[p.name] = p.default
-        elif key == "train":
-            kwargs[p.name] = _read(section.pop(key), at, TrainConfig, TRAIN_KEYS, seed=seed)
-        else:
-            kind = type(p.default) if p.annotation is p.empty else p.annotation
-            kwargs[p.name] = _checked(at, section.pop(key), kind, positive)
-    return kwargs
-
-
-def _done(section, path):
-    if section:
-        raise ConfigError(f"{path}{sorted(section)[0]}: unknown key")
-
-
-def _build(path, cls, kwargs):
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _read(value, path, cls, keys=None, **fixed):
-    """A ``cls`` built from the JSON object ``value``, which holds ``keys``
-    (all of ``cls``'s parameters by default) and no other key, and from the
-    keyword arguments ``fixed``."""
-    section = _object(value, path)
-    kwargs = _take(section, path, cls, keys, False)
-    _done(section, f"{path}.")
-    return _build(path, cls, dict(kwargs, **fixed))
+    """A usage error: a flag, or a model or rollout file the run cannot use."""
 
 
 def read_config(doc, seed=0):
     """Check the whole document and read it by the SCHEMA, ``plant`` into
-    ``geom`` and ``car_cfg``.  Raises ConfigError."""
+    ``geom`` and ``car_cfg``.  Raises nets.DocumentError."""
     top = _object(doc, "config")
     if top.pop("version", None) != CONFIG_VERSION:
-        raise ConfigError(f"version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
+        raise DocumentError(f"version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
     sections = {name: _object(top.pop(name), name)
                 for name, *_ in SCHEMA.values() if name in top}
     cfg = argparse.Namespace(doc=doc, n_set="N" in sections.get("dynamics", {}),
@@ -147,13 +61,13 @@ def read_config(doc, seed=0):
         plant = _object(top.pop("plant"), "plant")
         version = plant.pop("version", None)
         if version != DESCRIPTION_VERSION:
-            raise ConfigError(f"plant.version: expected {DESCRIPTION_VERSION}, got {version!r}")
-        cfg.car_cfg = _read(plant.pop("car", {}), "plant.car", CarConfig)
-        cfg.geom = _read(plant, "plant", MuscleGeometry)
+            raise DocumentError(f"plant.version: expected {DESCRIPTION_VERSION}, got {version!r}")
+        cfg.car_cfg = read(plant.pop("car", {}), "plant.car", CarConfig)
+        cfg.geom = read(plant, "plant", MuscleGeometry)
         try:
             cfg.geom.validate_antagonism()
         except ValueError as exc:
-            raise ConfigError(f"plant: {exc}") from exc
+            raise DocumentError(f"plant: {exc}") from exc
     _done(top, "")
     for attr, (name, target, keys, positive) in SCHEMA.items():
         section = sections.get(name, {} if name != "pid" else None)
@@ -166,7 +80,7 @@ def read_config(doc, seed=0):
                          dict(cfg.opt_cfg, horizon=cfg.rollout["horizon"]))
     n, rollout_s = cfg.rollout["horizon"], cfg.rollout["duration_s"]
     if ticks(rollout_s) <= n:   # one window: none left to fit after hold-out
-        raise ConfigError(f"dynamics.rollout_s: {rollout_s} s is not longer than N = {n} ticks")
+        raise DocumentError(f"dynamics.rollout_s: {rollout_s} s is not longer than N = {n} ticks")
     return cfg
 
 
@@ -387,10 +301,10 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
-        doc = load_config(args.config) if args.config else {"version": CONFIG_VERSION}
+        doc = load_json(args.config) if args.config else {"version": CONFIG_VERSION}
         return COMMANDS[args.command](args, read_config(doc, args.seed))
-    except (ConfigError, InitializationError, TrainingThresholdError,
-            ModelFormatError, OSError) as exc:
+    except (ConfigError, DocumentError, InitializationError, TrainingThresholdError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

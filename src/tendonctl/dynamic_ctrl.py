@@ -49,11 +49,23 @@ class OptimizerConfig:
 class DynamicsModel(nets.JSONPersisted):
     """Task-state transition net over a fixed horizon (scalar command)."""
 
-    def __init__(self, net, state_dim, horizon, u_limits):
+    def __init__(self, net: MLPNetwork, state_dim: int, horizon: int,
+                 u_limits: tuple[float, float]):
+        if net.in_scaler is None or net.out_scaler is None:
+            raise ValueError("its net has no input_range or output_range")
+        sizes = net.layer_sizes
+        if state_dim < 0 or horizon < 2 or sizes[0] != state_dim + horizon \
+                or sizes[-1] != horizon:
+            raise nets.DimensionError(
+                f"net layers {sizes} do not map state_dim {state_dim} + horizon "
+                f"{horizon} inputs to horizon >= 2 outputs")
+        lo, hi = u_limits
+        if not lo < hi:
+            raise ValueError(f"u_limits [{lo}, {hi}] are not [lo, hi] with lo < hi")
         self.net = net
         self.state_dim = state_dim
         self.horizon = horizon
-        self.u_limits = (float(u_limits[0]), float(u_limits[1]))
+        self.u_limits = (float(lo), float(hi))
 
     def predict(self, s0, u_seq):
         """Predicted task-state sequence, physical units."""
@@ -107,26 +119,8 @@ class DynamicsModel(nets.JSONPersisted):
 
     @classmethod
     def from_dict(cls, d):
-        """The model of a ``to_dict`` document.  Raises nets.ModelFormatError
-        unless the net carries both scalers and maps state_dim + horizon
-        inputs to horizon >= 2 outputs, and u_limits has lo < hi."""
-        nets.check_version(d)
-        net = MLPNetwork.from_dict(nets.field(d, "net", dict, "dynamics model"))
-        n_s, N = (nets.field(d, key, int, "dynamics model") for key in ("state_dim", "horizon"))
-        lo, hi = nets.finite_array(nets.field(d, "u_limits", list, "dynamics model"), (2,),
-                                   "dynamics model.u_limits")
-        if net.in_scaler is None or net.out_scaler is None:
-            raise nets.ModelFormatError("dynamics model: its net has no input_range "
-                                        "or output_range")
-        sizes = net.layer_sizes
-        if n_s < 0 or N < 2 or sizes[0] != n_s + N or sizes[-1] != N:
-            raise nets.ModelFormatError(
-                f"dynamics model: net layers {sizes} do not map state_dim "
-                f"{n_s} + horizon {N} inputs to horizon >= 2 outputs")
-        if not lo < hi:
-            raise nets.ModelFormatError(f"dynamics model: u_limits [{lo}, {hi}] are not "
-                                        "[lo, hi] with lo < hi")
-        return cls(net, n_s, N, (lo, hi))
+        """The model of a ``to_dict`` document.  Raises nets.DocumentError."""
+        return nets.read(nets.check_version(d, "dynamics model"), "dynamics model", cls)
 
 
 def random_command_profile(duration_s, u_limits, seed):

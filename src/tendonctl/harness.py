@@ -38,7 +38,7 @@ class Scenario:
     name: str = "run"
     duration_s: float = 20.0
     v_ref: float = 5.0
-    events: list = field(default_factory=list)   # [(time_s, event_name)]
+    events: list[tuple[float, str]] = field(default_factory=list)   # [(time_s, event_name)]
     seed: int = 0
     controller: str = "learned"                  # "learned" or "pid"
 

@@ -3,10 +3,16 @@
 Small numpy MLPs (tanh hidden layers, linear output) shared by the
 intersensory and task-dynamics models.  Gradients are available with
 respect to the weights *and* the inputs; input gradients are what the
-command optimizer and the EKF observation Jacobian need.
+command optimizer and the EKF observation Jacobian need.  The module also
+holds the one typed reader of the package's JSON documents, the config and
+the model files.
 """
 
+import dataclasses
+import inspect
 import json
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,48 +24,121 @@ class DimensionError(ValueError):
     """Raised on input/target dimension mismatch."""
 
 
-class ModelFormatError(ValueError):
-    """Raised when a persisted model document does not describe a usable model."""
+class DocumentError(ValueError):
+    """Raised when a JSON document (a config or a persisted model) does not
+    describe what it is read into; the message names the key path."""
 
 
-def check_version(d):
-    """Reject a persisted model document that is not a JSON object written
-    under this VERSION."""
-    if not isinstance(d, dict):
-        raise ModelFormatError(f"model document: expected an object, got {type(d).__name__}")
-    if d.get("version") != VERSION:
-        raise ModelFormatError(f"unsupported model version {d.get('version')}")
+# -- the typed reader: a JSON object into a class by its parameters ----------
+
+TRAIN_KEYS = "learning_rate batch_size epochs"   # a config's "train" object
 
 
-_JSON_KINDS = {int: "an integer", list: "an array", dict: "an object"}
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise DocumentError(f"{path}: expected an object, got {value!r}")
+    return dict(value)
 
 
-def field(d, key, kind, where):
-    """``d[key]`` of the object ``d`` if it is a JSON ``kind`` (int, list or
-    dict), else ModelFormatError."""
-    if key not in d:
-        raise ModelFormatError(f"{where}: missing key {key!r}")
-    value = d[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ModelFormatError(f"{where}.{key}: expected {_JSON_KINDS[kind]}, "
-                               f"got {type(value).__name__}")
+def _checked(path, value, kind, positive):
+    """``value`` if it is a JSON ``kind``, else DocumentError.  A kind with a
+    ``from_dict`` reads its own object, a dataclass kind is an object read by
+    read; ``tuple[...]`` is an array of one item per kind and ``list[...]``
+    one of zero or more, read into a tuple or a list; ``np.ndarray`` is
+    numbers nested to any depth, all finite, read into a float array."""
+    if hasattr(kind, "from_dict"):
+        return kind.from_dict(value, path)
+    if dataclasses.is_dataclass(kind):
+        return read(value, path, kind)
+    if kind is np.ndarray:
+        try:
+            a = np.array(value)
+        except (TypeError, ValueError, OverflowError):   # ragged nesting
+            a = np.array(None)
+        if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
+            raise DocumentError(f"{path}: expected an array of finite numbers")
+        return a.astype(float)
+    array, kinds = typing.get_origin(kind), typing.get_args(kind)
+    if array:
+        items = _checked(path, value, list, False)
+        if array is list:
+            kinds *= len(items)
+        if len(items) != len(kinds):
+            raise DocumentError(f"{path}: expected {len(kinds)} items, got {items}")
+        return array(_checked(f"{path}[{i}]", v, k, positive)
+                     for i, (v, k) in enumerate(zip(items, kinds)))
+    types = {float: (int, float), int: int, str: str, list: list}
+    ok = isinstance(value, types.get(kind, ())) and not isinstance(value, bool)
+    if ok and kind in (int, float):   # finite as a float: no NaN, inf or huge int
+        ok = abs(value) <= sys.float_info.max and (value > 0 or not positive)
+    if not ok:
+        raise DocumentError(f"{path}: expected {kind.__name__}{' > 0' * positive}, "
+                            f"got {value!r}")
     return value
 
 
-def finite_array(value, shape, where):
-    """``value`` as a float array of ``shape`` holding finite numbers only,
-    else ModelFormatError."""
+def _take(section, path, target, keys, positive, seed=0):
+    """Pop the keyword arguments ``keys`` of ``target`` (all by default) from an
+    object, each as "key" or "key:parameter" and checked against the type of
+    its parameter's annotation or default.  A ``train`` key's TrainConfig
+    takes ``seed``, as the default does."""
+    params = inspect.signature(target).parameters
+    kwargs = {}
+    for name in keys.split() if keys else params:
+        key, _, param = name.partition(":")
+        p, at = params[param or key], f"{path}.{key}"
+        if key not in section:
+            if p.default is p.empty:
+                raise DocumentError(f"{at}: missing")
+            kwargs[p.name] = p.default
+        elif key == "train":
+            kwargs[p.name] = read(section.pop(key), at, TrainConfig, TRAIN_KEYS, seed=seed)
+        else:
+            kind = type(p.default) if p.annotation is p.empty else p.annotation
+            kwargs[p.name] = _checked(at, section.pop(key), kind, positive)
+    return kwargs
+
+
+def _done(section, path):
+    if section:
+        raise DocumentError(f"{path}{sorted(section)[0]}: unknown key")
+
+
+def _build(path, cls, kwargs):
     try:
-        a = np.array(value)
-    except (TypeError, ValueError, OverflowError):   # ragged nesting
-        a = None
-    if a is None or a.dtype.kind not in "iuf":
-        raise ModelFormatError(f"{where}: expected an array of numbers")
-    if a.shape != shape:
-        raise ModelFormatError(f"{where}: shape {a.shape}, expected {shape}")
-    if not np.isfinite(a).all():
-        raise ModelFormatError(f"{where}: non-finite number")
-    return a.astype(float)
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
+
+
+def read(value, path, cls, keys=None, **fixed):
+    """A ``cls`` built from the JSON object ``value``, which holds ``keys``
+    (all of ``cls``'s parameters by default) and no other key, and from the
+    keyword arguments ``fixed``."""
+    section = _object(value, path)
+    kwargs = _take(section, path, cls, keys, False)
+    _done(section, f"{path}.")
+    return _build(path, cls, dict(kwargs, **fixed))
+
+
+def check_version(d, path, *legacy):
+    """The persisted model document ``d`` without its version and the
+    ``legacy`` entries older documents carry; DocumentError unless it is a
+    JSON object written under this VERSION."""
+    if not isinstance(d, dict):
+        raise DocumentError(f"{path}: expected an object, got {type(d).__name__}")
+    if d.get("version") != VERSION:
+        raise DocumentError(f"{path}: unsupported model version {d.get('version')}")
+    return {k: v for k, v in d.items() if k not in ("version", *legacy)}
+
+
+def load_json(path):
+    """The JSON document in the file ``path``; DocumentError if it is not JSON."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, too deep
+            raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
 
 
 class JSONPersisted:
@@ -71,12 +150,7 @@ class JSONPersisted:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, too deep
-                raise ModelFormatError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(load_json(path))
 
 
 @dataclass
@@ -142,13 +216,22 @@ class MLPNetwork:
 
     Weight matrix for layer i has shape (layer_sizes[i+1], layer_sizes[i]).
     Optional input/output scalers are carried with the network so that
-    serialized models are self-contained.
+    serialized models are self-contained.  The constructor raises
+    DimensionError unless there are two or more layer sizes, each >= 1, one
+    weight matrix and one bias vector of those shapes per layer, and each
+    scaler is of its end's layer size.
     """
 
-    def __init__(self, layer_sizes, weights, biases, in_scaler=None, out_scaler=None):
-        if len(layer_sizes) < 2:
-            raise ValueError("need at least input and output layer")
+    def __init__(self, layer_sizes: list[int], weights: list[np.ndarray],
+                 biases: list[np.ndarray], in_scaler: FeatureScaler = None,
+                 out_scaler: FeatureScaler = None):
         self.layer_sizes = [int(s) for s in layer_sizes]
+        if len(self.layer_sizes) < 2 or min(self.layer_sizes) < 1:
+            raise DimensionError(f"layer sizes {self.layer_sizes}: expected two or more, "
+                                 f"each >= 1")
+        if not len(weights) == len(biases) == len(self.layer_sizes) - 1:
+            raise DimensionError(f"{len(self.layer_sizes) - 1} layers, but {len(weights)} "
+                                 f"weight matrices and {len(biases)} bias vectors")
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
         self.in_scaler = in_scaler
@@ -160,6 +243,11 @@ class MLPNetwork:
                     f"layer {i}: weight shape {w.shape}, expected {expect}")
             if b.shape != (self.layer_sizes[i + 1],):
                 raise DimensionError(f"layer {i}: bias shape {b.shape}")
+        for end, scaler, n in (("input", in_scaler, self.layer_sizes[0]),
+                               ("output", out_scaler, self.layer_sizes[-1])):
+            if scaler is not None and scaler.lo.shape != (n,):
+                raise DimensionError(f"{end} scaler of shape {scaler.lo.shape}, "
+                                     f"expected ({n},)")
 
     @classmethod
     def seeded(cls, layer_sizes, seed=0, in_scaler=None, out_scaler=None):
@@ -254,42 +342,11 @@ class MLPNetwork:
         return d
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, path="net"):
         """The net of a ``to_dict`` document; a ``"seed"`` entry, which older
-        documents carry, is not read.  Raises ModelFormatError unless there
-        are two or more positive layer sizes, the weights and biases chain
-        them, every number is finite and each scaler has hi > lo over its
-        end's layer."""
-        check_version(d)
-        sizes = field(d, "layer_sizes", list, "net")
-        if len(sizes) < 2 or not all(type(n) is int and n > 0 for n in sizes):
-            raise ModelFormatError(f"net.layer_sizes: expected two or more positive "
-                                   f"integers, got {sizes}")
-        shapes = list(zip(sizes[1:], sizes[:-1]))
-        weights, biases = field(d, "weights", list, "net"), field(d, "biases", list, "net")
-        if len(weights) != len(shapes) or len(biases) != len(shapes):
-            raise ModelFormatError(f"net: {len(shapes)} layers, but {len(weights)} weight "
-                                   f"matrices and {len(biases)} bias vectors")
-        weights = [finite_array(w, s, f"net.weights[{i}]")
-                   for i, (w, s) in enumerate(zip(weights, shapes))]
-        biases = [finite_array(b, s[:1], f"net.biases[{i}]")
-                  for i, (b, s) in enumerate(zip(biases, shapes))]
-        return cls(sizes, weights, biases, _scaler(d, "input_range", sizes[0]),
-                   _scaler(d, "output_range", sizes[-1]))
-
-
-def _scaler(d, key, n):
-    """The scaler of the net document's ``d[key]`` over n features, or None
-    without one; else ModelFormatError."""
-    if key not in d:
-        return None
-    r = field(d, key, dict, "net")
-    lo, hi = (finite_array(field(r, end, list, f"net.{key}"), (n,), f"net.{key}.{end}")
-              for end in ("lo", "hi"))
-    try:
-        return FeatureScaler(lo, hi)
-    except ValueError as exc:   # hi <= lo
-        raise ModelFormatError(f"net.{key}: {exc}") from None
+        documents carry, is dropped.  Raises DocumentError."""
+        return read(check_version(d, path, "seed"), path, cls,
+                    "layer_sizes weights biases input_range:in_scaler output_range:out_scaler")
 
 
 def mse_loss(net, X, Y):

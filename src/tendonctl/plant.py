@@ -41,6 +41,11 @@ class JointSpec:
     origin: tuple[float, float]    # mount point in the parent link frame [m]
     limits: tuple[float, float]    # (lo, hi) [rad]
 
+    def __post_init__(self):
+        if not self.limits[0] < self.limits[1]:
+            raise ValueError(f"joint {self.name}: limits {list(self.limits)} are not "
+                             f"[lo, hi] with lo < hi")
+
 
 @dataclass
 class MuscleSpec:
@@ -98,6 +103,8 @@ class MuscleGeometry:
     """
 
     def __init__(self, joints: list[JointSpec], muscles: list[MuscleSpec]):
+        if not joints or not muscles:
+            raise ValueError("a body needs one or more joints and one or more muscles")
         self.joints = list(joints)
         self.muscles = list(muscles)
         self.n_joints = len(self.joints)

@@ -35,7 +35,14 @@ class IntersensoryModel(nets.JSONPersisted):
     arrays of rows already mapped to the net's unit ranges: each triple is
     scaled once, when it is inserted, and a batch is one gather."""
 
-    def __init__(self, net, n_joints, n_muscles):
+    def __init__(self, net: MLPNetwork, n_joints: int, n_muscles: int):
+        if net.in_scaler is None or net.out_scaler is None:
+            raise ValueError("its net has no input_range or output_range")
+        if min(n_joints, n_muscles) < 1 or net.layer_sizes[0] != n_joints + n_muscles \
+                or net.layer_sizes[-1] != n_muscles:
+            raise nets.DimensionError(
+                f"net layers {net.layer_sizes} do not map n_joints {n_joints} + n_muscles "
+                f"{n_muscles} inputs to n_muscles outputs")
         self.net = net
         self.n_joints = n_joints
         self.n_muscles = n_muscles
@@ -103,19 +110,8 @@ class IntersensoryModel(nets.JSONPersisted):
     @classmethod
     def from_dict(cls, d):
         """The model of a ``to_dict`` document; an ``"online"`` entry, which
-        older documents carry, is not read.  Raises nets.ModelFormatError
-        unless the net carries both scalers and maps n_joints + n_muscles
-        inputs to n_muscles outputs, with one or more of each."""
-        nets.check_version(d)
-        net = MLPNetwork.from_dict(nets.field(d, "net", dict, "h"))
-        n_j, n_m = (nets.field(d, key, int, "h") for key in ("n_joints", "n_muscles"))
-        if net.in_scaler is None or net.out_scaler is None:
-            raise nets.ModelFormatError("h: its net has no input_range or output_range")
-        if min(n_j, n_m) < 1 or net.layer_sizes[0] != n_j + n_m or net.layer_sizes[-1] != n_m:
-            raise nets.ModelFormatError(
-                f"h: net layers {net.layer_sizes} do not map n_joints {n_j} + n_muscles "
-                f"{n_m} inputs to n_muscles outputs")
-        return cls(net, n_j, n_m)
+        older documents carry, is dropped.  Raises nets.DocumentError."""
+        return nets.read(nets.check_version(d, "h", "online"), "h", cls)
 
 
 def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,

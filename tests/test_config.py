@@ -15,9 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tendonctl import cli, harness, plant, static_ctrl
+from tendonctl import cli, harness, nets, plant, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel, train_dynamics
-from tendonctl.nets import FeatureScaler, MLPNetwork, ModelFormatError
+from tendonctl.nets import DocumentError, FeatureScaler, MLPNetwork
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
@@ -72,12 +72,12 @@ def test_train_sections_shuffle_with_the_seed():
     default = {"learning_rate": 0.05, "batch_size": 32, "epochs": 150}
     rng = np.random.default_rng(0)
     dataset = (rng.normal(size=(40, 2)), rng.uniform(size=(40, 4)), rng.normal(size=(40, 4)))
-    nets = []
+    trained = []
     for dynamics in ({}, {"train": default}):
         cfg = cli.read_config({"version": 1, "dynamics": dict(dynamics, rms_threshold=1e9)},
                               seed=3)
-        nets.append(train_dynamics(dataset, (0.0, 1.0), seed=3, **cfg.train).net)
-    for a, b in zip(nets[0].weights, nets[1].weights):
+        trained.append(train_dynamics(dataset, (0.0, 1.0), seed=3, **cfg.train).net)
+    for a, b in zip(trained[0].weights, trained[1].weights):
         assert np.array_equal(a, b)
     assert cli.read_config({"version": 1, "static": {"train": default}},
                            seed=3).static["train_cfg"].seed == 3
@@ -86,7 +86,7 @@ def test_train_sections_shuffle_with_the_seed():
 @pytest.mark.parametrize("doc", [None, [], 5, "x", {"version": 2}, {}],
                          ids=["null", "list", "number", "string", "version-2", "no-version"])
 def test_reader_rejects_bad_documents(doc):
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(DocumentError):
         cli.read_config(doc)
 
 
@@ -158,10 +158,10 @@ def numbers(node):
 @example(dict(CONFIGS["pedal"], plant=ankle_joint(origin={})))   # once ended in KeyError: 0
 @example(dict(CONFIGS["pedal"], plant=ankle_joint(limits={})))
 @example(dict(CONFIGS["pedal"], plant=ankle_muscle(k2=float("nan"))))   # once read silently
-def test_reader_returns_or_raises_config_error(doc):
+def test_reader_returns_or_raises_document_error(doc):
     try:
         cfg = cli.read_config(doc)
-    except cli.ConfigError:
+    except DocumentError:
         return
     body = [*cfg.geom.joints, *cfg.geom.muscles, cfg.car_cfg]
     assert all(math.isfinite(x) for spec in body for x in numbers(dataclasses.astuple(spec)))
@@ -180,7 +180,7 @@ def test_description_matches_default_ankle():
 
 
 def test_description_version_check():
-    with pytest.raises(cli.ConfigError, match="plant.version"):
+    with pytest.raises(DocumentError, match="plant.version"):
         cli.read_config({"version": 1, "plant": dict(ANKLE, version=42)})
 
 
@@ -190,7 +190,7 @@ def test_description_version_check():
     {"muscles": ANKLE["muscles"][:1]},
 ], ids=["removed-car-key", "unknown-key", "one-muscle-per-joint"])
 def test_description_rejects_bad_documents(change):
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(DocumentError):
         cli.read_config({"version": 1, "plant": dict(ANKLE, **change)})
 
 
@@ -236,7 +236,11 @@ def test_description_rejects_bad_documents(change):
      "plant.muscles[0].attachments[0][0]"),
     ({"plant": dict(ANKLE, joints=[], muscles=[
         dict(m, attachments=[[0, [0.0, 0.0]], [0, [0.1, 0.0]]]) for m in ANKLE["muscles"]])},
-     "plant.joints: expected one or more"),
+     "plant: a body needs one or more joints"),
+    ({"plant": ankle_joint(limits=[0.5, 0.5])}, "plant.joints[0]: joint ankle_pitch: limits"),
+    ({"plant": ankle_joint(limits=[0.6, 0.5])}, "plant.joints[0]: joint ankle_pitch: limits"),
+    ({"scenario": {"events": [["5.0", "light_blue"]]}}, "scenario.events[0][0]: expected float"),
+    ({"scenario": {"events": [[True, "light_blue"]]}}, "scenario.events[0][0]: expected float"),
 ], ids=["unknown-key", "negative-duration", "sub-tick-duration", "unknown-controller",
         "pid-without-ki", "wrong-type", "bad-train-value", "removed-car-key",
         "one-muscle-per-joint", "negative-car-delay", "negative-car-drag",
@@ -247,7 +251,8 @@ def test_description_rejects_bad_documents(change):
         "joint-parent-bool", "muscle-k2-nan", "muscle-k2-infinite", "muscle-slack-nan",
         "muscle-offset-infinite", "car-a_max-nan", "joint-name-number",
         "joint-limits-infinite", "joint-origin-one-number", "attachment-infinite",
-        "attachment-link-float", "no-joints"])
+        "attachment-link-float", "no-joints", "joint-limits-equal", "joint-limits-reversed",
+        "event-time-string", "event-time-bool"])
 def test_cli_config_defect_exits_1(sections, named, tmp_path, no_training, capsys):
     code = run_cli(tmp_path, ["run"], **sections)
     assert_one_line_error(code, capsys, named)
@@ -398,18 +403,19 @@ def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys)
     (b"\xff", "invalid JSON"),
     (b"[" * 100_000, "invalid JSON"),
     (b"[]", "expected an object, got list"),
-    (lambda d: d.pop("net"), "missing key 'net'"),
-    (lambda d: d.update(n_joints=1.0), "h.n_joints: expected an integer"),
-    (lambda d: d["net"]["weights"][1].pop(), "net.weights[1]: shape (63, 64)"),
+    (lambda d: d.pop("net"), "h.net: missing"),
+    (lambda d: d.update(n_joints=1.0), "h.n_joints: expected int"),
+    (lambda d: d["net"]["weights"][1].pop(), "h.net: layer 1: weight shape (63, 64)"),
     (lambda d: d["net"]["weights"][0][0].__setitem__(0, float("nan")),
-     "net.weights[0]: non-finite"),
+     "h.net.weights[0]: expected an array of finite numbers"),
     (lambda d: d["net"]["input_range"].update(hi=d["net"]["input_range"]["lo"]),
      "net.input_range: scaler ranges must have hi > lo"),
     (lambda d: d["net"].pop("output_range"), "output_range"),
     (lambda d: d.update(net=scaled_net([3, 4, 3]).to_dict()), "h: net layers [3, 4, 3]"),
+    (lambda d: d["net"].update(dropout=0.5), "h.net.dropout: unknown key"),
 ], ids=["not-json", "not-utf-8", "nested-too-deep", "json-list", "no-net", "joints-not-an-integer",
         "weights-do-not-chain", "nan-weight", "scaler-hi-not-above-lo", "no-output-scaler",
-        "three-outputs-for-two-muscles"])
+        "three-outputs-for-two-muscles", "unknown-key"])
 def test_cli_malformed_static_model_exits_1(defect, named, tmp_path, static_model,
                                             no_training, capsys):
     # each ended in a traceback: on loading, or at the EKF's first tick
@@ -453,11 +459,11 @@ def use(model):
 @example((static_ctrl.IntersensoryModel, dict(H_DOC, n_joints=2)))
 @example((MLPNetwork, {"version": 1, "layer_sizes": [3], "weights": [], "biases": []}))
 @example((MLPNetwork, dict(H_DOC["net"], biases=[[0.0] * 4, [0.0, float("nan")]])))
-def test_model_readers_return_a_usable_model_or_raise_model_format_error(case):
+def test_model_readers_return_a_usable_model_or_raise_document_error(case):
     cls, doc = case
     try:
         model = cls.from_dict(doc)
-    except ModelFormatError:
+    except DocumentError:
         return
     net = model if isinstance(model, MLPNetwork) else model.net
     scalers = [sc for sc in (net.in_scaler, net.out_scaler) if sc is not None]
@@ -558,7 +564,7 @@ def readme_config_table():
 
 
 def test_readme_config_table_lists_the_keys_the_reader_takes():
-    taken = {"train": set(cli.TRAIN_KEYS.split()), "plant": set(ANKLE)}
+    taken = {"train": set(nets.TRAIN_KEYS.split()), "plant": set(ANKLE)}
     for section, _, keys, _ in cli.SCHEMA.values():
         taken.setdefault(section, set()).update(k.partition(":")[0] for k in keys.split())
     cli.read_config({"version": 1, "plant": ANKLE})   # the fixture sets every plant key
@@ -572,4 +578,4 @@ def test_readme_commands_parse_and_their_configs_read():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         if args.config:
-            cli.read_config(cli.load_config(ROOT / args.config))
+            cli.read_config(nets.load_json(ROOT / args.config))

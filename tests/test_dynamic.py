@@ -10,7 +10,7 @@ from tendonctl.dynamic_ctrl import (GN_STEPS, HOLDOUT_FRACTION, PROX_MU, Dynamic
                                     mpc_control_step, optimize_commands,
                                     random_command_profile, shift_warm_start,
                                     train_dynamics)
-from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
+from tendonctl.nets import DimensionError, FeatureScaler, MLPNetwork, TrainConfig
 
 
 class StubRig:
@@ -388,6 +388,19 @@ def test_dynamics_from_dict_rejects_unknown_version():
     d["version"] = 99
     with pytest.raises(ValueError, match="version"):
         DynamicsModel.from_dict(d)
+
+
+def test_constructor_refuses_a_model_it_cannot_run():
+    # each was built, and then failed in its first MPC tick or ran on
+    net = identity_model(3).net   # 1 state + 3 commands in, 3 states out, both scalers
+    bare = MLPNetwork(net.layer_sizes, net.weights, net.biases, out_scaler=net.out_scaler)
+    with pytest.raises(ValueError, match="input_range"):
+        DynamicsModel(bare, 1, 3, (0.0, 1.0))
+    with pytest.raises(DimensionError, match="do not map"):
+        DynamicsModel(net, 2, 2, (0.0, 1.0))
+    for limits in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="u_limits"):
+            DynamicsModel(net, 1, 3, limits)
 
 
 def test_optimizer_config_validation():

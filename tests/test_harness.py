@@ -11,8 +11,8 @@ from tendonctl import cli, harness, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
-from tendonctl.nets import MLPNetwork
 from tendonctl.plant import default_arm_geometry
+from test_config import scaled_net
 
 
 # -- metrics ---------------------------------------------------------------
@@ -356,7 +356,7 @@ def test_cli_model_version_error_exits_1(flag, tmp_path, static_model, capsys):
     if flag == "--static-model":
         d = static_model.to_dict()
     else:
-        d = DynamicsModel(MLPNetwork.seeded([3, 2], seed=0), 1, 2, (0.0, 1.0)).to_dict()
+        d = DynamicsModel(scaled_net([3, 2]), 1, 2, (0.0, 1.0)).to_dict()
     d["version"] = 99
     path = tmp_path / "model.json"
     path.write_text(json.dumps(d))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tendonctl import nets
-from tendonctl.nets import (DimensionError, FeatureScaler, MLPNetwork, ModelFormatError,
+from tendonctl.nets import (DimensionError, DocumentError, FeatureScaler, MLPNetwork,
                             TrainConfig, finite_difference_input_grad,
                             mse_loss, sgd_step, train)
 
@@ -422,6 +422,25 @@ def test_scaler_validation():
         FeatureScaler(np.zeros(2), np.ones(3))
 
 
+def test_constructor_needs_one_weight_and_bias_per_layer():
+    # zip once cut the layer list short: a [3, 4, 2] net of one layer gave 4 outputs
+    w0, b0 = np.zeros((4, 3)), np.zeros(4)
+    with pytest.raises(DimensionError, match="2 layers, but 1 weight"):
+        MLPNetwork([3, 4, 2], [w0], [b0])
+    with pytest.raises(DimensionError, match="1 bias"):
+        MLPNetwork([3, 4, 2], [w0, np.zeros((2, 4))], [b0])
+    with pytest.raises(DimensionError):
+        MLPNetwork([3, 0, 2], [np.zeros((0, 3)), np.zeros((2, 0))], [np.zeros(0), np.zeros(2)])
+
+
+@pytest.mark.parametrize("end", ["in_scaler", "out_scaler"])
+def test_constructor_refuses_a_scaler_of_another_size(end):
+    net = MLPNetwork.seeded([3, 4, 2], seed=0)
+    scaler = FeatureScaler(np.zeros(5), np.ones(5))
+    with pytest.raises(DimensionError, match="scaler of shape"):
+        MLPNetwork(net.layer_sizes, net.weights, net.biases, **{end: scaler})
+
+
 def test_serialization_round_trip_exact(tmp_path):
     sc_in = FeatureScaler(np.array([-1.0, 0.0]), np.array([1.0, 5.0]))
     sc_out = FeatureScaler(np.array([0.1]), np.array([0.3]))
@@ -444,7 +463,7 @@ def test_serialization_round_trip_exact(tmp_path):
 def test_from_dict_rejects_unknown_version():
     d = MLPNetwork.seeded([1, 1], seed=0).to_dict()
     d["version"] = 99
-    with pytest.raises(ModelFormatError, match="version 99"):
+    with pytest.raises(DocumentError, match="version 99"):
         MLPNetwork.from_dict(d)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tendonctl import static_ctrl
-from tendonctl.nets import FeatureScaler, MLPNetwork, TrainConfig
+from tendonctl.nets import DimensionError, FeatureScaler, MLPNetwork, TrainConfig
 from tendonctl.plant import (ANKLE_PLANT_CONFIG, CTRL_DT, MuscleGeometry, Plant,
                              default_ankle_geometry, elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
@@ -233,6 +233,17 @@ def test_from_dict_rejects_unknown_version(static_model):
     d["version"] = 99
     with pytest.raises(ValueError, match="version"):
         IntersensoryModel.from_dict(d)
+
+
+def test_constructor_refuses_a_net_it_cannot_run():
+    # each was built, and then failed at its first use
+    net = _unit_model().net   # 3 inputs, 2 outputs, both scalers
+    bare = MLPNetwork(net.layer_sizes, net.weights, net.biases, in_scaler=net.in_scaler)
+    with pytest.raises(ValueError, match="output_range"):
+        IntersensoryModel(bare, 1, 2)
+    for n_joints, n_muscles in ((2, 2), (2, 1), (0, 3)):
+        with pytest.raises(DimensionError, match="do not map"):
+            IntersensoryModel(net, n_joints, n_muscles)
 
 
 # -- EKF -------------------------------------------------------------------
