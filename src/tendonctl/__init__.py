@@ -1,7 +1,8 @@
 """Learning-based control stack for a tendon-driven robot on driving tasks.
 
 Submodules:
-  nets          dense MLPs with exact weight/input gradients; the JSON document reader
+  documents     the typed reader and writer of every document, and its version rule
+  nets          dense MLPs with exact weight/input gradients
   plant         deterministic muscle-joint + car simulator (ground truth)
   static_ctrl   intersensory length model, online learning, EKF estimation
   dynamic_ctrl  learned task dynamics and command-sequence optimization
@@ -9,7 +10,7 @@ Submodules:
   harness       reproducible experiment scenarios and reports
 """
 
-from . import dynamic_ctrl, harness, nets, plant, reflex, static_ctrl
+from . import documents, dynamic_ctrl, harness, nets, plant, reflex, static_ctrl
 
-__all__ = ["nets", "plant", "static_ctrl", "dynamic_ctrl", "reflex", "harness"]
+__all__ = ["documents", "nets", "plant", "static_ctrl", "dynamic_ctrl", "reflex", "harness"]
 __version__ = "0.1.0"

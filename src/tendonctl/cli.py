@@ -10,6 +10,7 @@ import argparse
 import os
 import sys
 import zipfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,20 +19,16 @@ from .dynamic_ctrl import (DynamicsModel, OptimizerConfig, PIDController,
                            TrainingThresholdError, collect_rollout, train_dynamics)
 from .harness import (Scenario, build_pedal_rig, compare_controllers,
                       run_scenario, train_pedal_dynamics)
-from .nets import DocumentError, _build, _done, _object, _take, load_json, read
+from .documents import (VERSION, DocumentError, as_object, build, done, load_json, read,
+                        take, versioned)
 from .plant import CarConfig, MuscleGeometry, default_ankle_geometry, ticks
 from .static_ctrl import InitializationError, IntersensoryModel
-
-CONFIG_VERSION = 1
-DESCRIPTION_VERSION = 1   # of the body description in the config's plant section
-ROLLOUT_VERSION = 1   # of the rollout.npz archive that collect writes
-ROLLOUT_KEYS = ("version", "S0", "U", "Y", "u_lo", "u_hi")
 
 # The config schema.  Attribute of the read config: (section, what takes its
 # keys, the keys as "key" or "key:parameter", whether their numbers must be
 # positive).  A key left out takes its parameter's default; "train" holds a
-# TrainConfig's nets.TRAIN_KEYS.  Bound at import: a wrapped module attribute
-# hides a signature.
+# TrainConfig's documents.TRAIN_KEYS.  Bound at import: a wrapped module
+# attribute hides a signature.
 SCHEMA = {
     "scenario": ("scenario", Scenario, "name duration_s v_ref events controller", False),
     "static": ("static", static_ctrl.init_from_geometry,
@@ -49,34 +46,29 @@ class ConfigError(Exception):
 
 def read_config(doc, seed=0):
     """Check the whole document and read it by the SCHEMA, ``plant`` into
-    ``geom`` and ``car_cfg``.  Raises nets.DocumentError."""
-    top = _object(doc, "config")
-    if top.pop("version", None) != CONFIG_VERSION:
-        raise DocumentError(f"version: expected {CONFIG_VERSION}, got {doc.get('version')!r}")
-    sections = {name: _object(top.pop(name), name)
+    ``geom`` and ``car_cfg``.  Raises documents.DocumentError."""
+    top = versioned(doc, "config")
+    sections = {name: as_object(top.pop(name), name)
                 for name, *_ in SCHEMA.values() if name in top}
     cfg = argparse.Namespace(doc=doc, n_set="N" in sections.get("dynamics", {}),
                              geom=default_ankle_geometry(), car_cfg=CarConfig())
     if "plant" in top:
-        plant = _object(top.pop("plant"), "plant")
-        version = plant.pop("version", None)
-        if version != DESCRIPTION_VERSION:
-            raise DocumentError(f"plant.version: expected {DESCRIPTION_VERSION}, got {version!r}")
+        plant = versioned(top.pop("plant"), "plant")
         cfg.car_cfg = read(plant.pop("car", {}), "plant.car", CarConfig)
         cfg.geom = read(plant, "plant", MuscleGeometry)
         try:
             cfg.geom.validate_antagonism()
         except ValueError as exc:
             raise DocumentError(f"plant: {exc}") from exc
-    _done(top, "")
+    done(top, "")
     for attr, (name, target, keys, positive) in SCHEMA.items():
         section = sections.get(name, {} if name != "pid" else None)
         setattr(cfg, attr, section if section is None   # no pid: harness.DEFAULT_PID
-                else _take(section, name, target, keys, positive, seed))
+                else take(section, name, target, keys, positive, seed))
     for name, section in sections.items():
-        _done(section, f"{name}.")
-    cfg.scenario = _build("scenario", Scenario, dict(cfg.scenario, seed=seed))
-    cfg.opt_cfg = _build("dynamics", OptimizerConfig,
+        done(section, f"{name}.")
+    cfg.scenario = build("scenario", Scenario, dict(cfg.scenario, seed=seed))
+    cfg.opt_cfg = build("dynamics", OptimizerConfig,
                          dict(cfg.opt_cfg, horizon=cfg.rollout["horizon"]))
     n, rollout_s = cfg.rollout["horizon"], cfg.rollout["duration_s"]
     if ticks(rollout_s) <= n:   # one window: none left to fit after hold-out
@@ -147,16 +139,36 @@ def cmd_collect(args, cfg):
     S0, U, Y = collect_rollout(rig, cfg.rollout["duration_s"], args.seed,
                                cfg.rollout["horizon"])
     path = _out_path(args, "rollout.npz")
-    np.savez(path, version=ROLLOUT_VERSION, S0=S0, U=U, Y=Y,
-             u_lo=rig.u_limits[0], u_hi=rig.u_limits[1])
+    np.savez(path, version=VERSION, **vars(Rollout(S0, U, Y, *rig.u_limits)))
     print(f"wrote {path} ({S0.shape[0]} windows)")
     return 0
 
 
+@dataclass
+class Rollout:
+    """A ``collect`` archive: two or more windows (one to fit, one to hold out)
+    of initial states, commands and the task states that followed, and limits."""
+
+    S0: np.ndarray
+    U: np.ndarray
+    Y: np.ndarray
+    u_lo: float
+    u_hi: float
+
+    def __post_init__(self):
+        S0, U, Y = self.S0, self.U, self.Y
+        if not (S0.ndim == U.ndim == 2 and Y.shape == U.shape and len(S0) == len(U)
+                and self.u_lo < self.u_hi):
+            raise ValueError(f"S0 {S0.shape}, U {U.shape}, Y {Y.shape} and limits "
+                             f"({self.u_lo}, {self.u_hi}) do not form windows")
+        if len(S0) < 2:
+            raise ValueError(f"{len(S0)} window; training needs at least two")
+
+
 def _read_rollout(path):
-    """The windows (S0, U, Y) and command limits of a ``collect`` archive.
-    Raises ConfigError unless it is one of ROLLOUT_VERSION with at least two
-    windows, one to fit and one to hold out."""
+    """The Rollout of a ``collect`` archive, read as a document of its
+    arrays, each 0-d array as its number.  Raises ConfigError unless the
+    file is an .npz archive and DocumentError unless it holds a Rollout."""
     try:
         data = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
@@ -164,33 +176,18 @@ def _read_rollout(path):
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path}: not an .npz archive")
     with data:
-        missing = [k for k in ROLLOUT_KEYS if k not in data.files]
-        if missing:
-            raise ConfigError(f"{path}: no {missing[0]!r} array in the rollout archive")
         try:
-            a = {k: data[k] for k in ROLLOUT_KEYS}
+            doc = {k: data[k] for k in data.files}
         except (ValueError, zipfile.BadZipFile) as exc:
             raise ConfigError(f"{path}: unreadable rollout archive ({exc})") from exc
-    for k, v in a.items():
-        if v.dtype.kind not in "fiu" or not np.isfinite(v).all():
-            raise ConfigError(f"{path}: the rollout archive's {k!r} array holds a "
-                              f"non-numeric or non-finite value")
-    version, lo, hi = (a[k] for k in ("version", "u_lo", "u_hi"))
-    if version.shape or version != ROLLOUT_VERSION:
-        raise ConfigError(f"{path}: rollout archive version {version}; expected {ROLLOUT_VERSION}")
-    S0, U, Y = a["S0"], a["U"], a["Y"]
-    if not (S0.ndim == U.ndim == 2 and Y.shape == U.shape and len(S0) == len(U)
-            and lo.shape == hi.shape == () and lo < hi):
-        raise ConfigError(f"{path}: S0 {S0.shape}, U {U.shape}, Y {Y.shape} and limits "
-                          f"({lo}, {hi}) do not form windows")
-    if len(S0) < 2:
-        raise ConfigError(f"{path}: {len(S0)} window; training needs at least two")
-    return (S0, U, Y), (float(lo), float(hi))
+    doc = {k: a.item() if a.ndim == 0 else a for k, a in doc.items()}
+    return read(versioned(doc, "rollout"), "rollout", Rollout)
 
 
 def cmd_train_dynamics(args, cfg):
-    dataset, u_limits = _read_rollout(args.data)
-    model = train_dynamics(dataset, u_limits, seed=args.seed, **cfg.train)
+    data = _read_rollout(args.data)
+    model = train_dynamics((data.S0, data.U, data.Y), (data.u_lo, data.u_hi),
+                           seed=args.seed, **cfg.train)
     path = _out_path(args, "dynamics_model.json")
     model.save(path)
     print(f"wrote {path} (holdout RMS {model.holdout_rms:.3f} km/h)")
@@ -301,7 +298,7 @@ def main(argv=None):
     try:
         if args.seed < 0:
             raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
-        doc = load_json(args.config) if args.config else {"version": CONFIG_VERSION}
+        doc = load_json(args.config) if args.config else {"version": VERSION}
         return COMMANDS[args.command](args, read_config(doc, args.seed))
     except (ConfigError, DocumentError, InitializationError, TrainingThresholdError,
             OSError) as exc:

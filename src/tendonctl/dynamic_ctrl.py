@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nets
+from .documents import Document
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
 from .plant import CTRL_DT, ticks
 
@@ -46,8 +47,10 @@ class OptimizerConfig:
             raise ValueError("horizon must be >= 2")
 
 
-class DynamicsModel(nets.JSONPersisted):
+class DynamicsModel(Document):
     """Task-state transition net over a fixed horizon (scalar command)."""
+
+    KEYS, NAME = "state_dim horizon u_limits net", "dynamics model"
 
     def __init__(self, net: MLPNetwork, state_dim: int, horizon: int,
                  u_limits: tuple[float, float]):
@@ -112,16 +115,6 @@ class DynamicsModel(nets.JSONPersisted):
         """Tracking + smoothness loss at u_seq and dL/du."""
         return self.objective(s0, s_ref, alpha)(u_seq)
 
-    def to_dict(self):
-        return {"version": nets.VERSION, "state_dim": self.state_dim,
-                "horizon": self.horizon, "u_limits": list(self.u_limits),
-                "net": self.net.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        """The model of a ``to_dict`` document.  Raises nets.DocumentError."""
-        return nets.read(nets.check_version(d, "dynamics model"), "dynamics model", cls)
-
 
 def random_command_profile(duration_s, u_limits, seed):
     """Band-limited exploration signal, one command per control tick: a new
@@ -167,7 +160,8 @@ def collect_rollout(rig, duration_s, seed, horizon):
     return S0, U, Y
 
 
-def train_dynamics(dataset, u_limits, train_cfg=None, rms_threshold=0.3, seed=0):
+def train_dynamics(dataset, u_limits, train_cfg: TrainConfig = None, rms_threshold=0.3,
+                   seed=0):
     """Fit the horizon-transition net; verify one-step held-out accuracy."""
     S0, U, Y = dataset
     if S0.shape[0] == 0:

@@ -3,154 +3,18 @@
 Small numpy MLPs (tanh hidden layers, linear output) shared by the
 intersensory and task-dynamics models.  Gradients are available with
 respect to the weights *and* the inputs; input gradients are what the
-command optimizer and the EKF observation Jacobian need.  The module also
-holds the one typed reader of the package's JSON documents, the config and
-the model files.
+command optimizer and the EKF observation Jacobian need.
 """
 
-import dataclasses
-import inspect
-import json
-import sys
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-VERSION = 1
+from .documents import Document
 
 
 class DimensionError(ValueError):
     """Raised on input/target dimension mismatch."""
-
-
-class DocumentError(ValueError):
-    """Raised when a JSON document (a config or a persisted model) does not
-    describe what it is read into; the message names the key path."""
-
-
-# -- the typed reader: a JSON object into a class by its parameters ----------
-
-TRAIN_KEYS = "learning_rate batch_size epochs"   # a config's "train" object
-
-
-def _object(value, path):
-    if not isinstance(value, dict):
-        raise DocumentError(f"{path}: expected an object, got {value!r}")
-    return dict(value)
-
-
-def _checked(path, value, kind, positive):
-    """``value`` if it is a JSON ``kind``, else DocumentError.  A kind with a
-    ``from_dict`` reads its own object, a dataclass kind is an object read by
-    read; ``tuple[...]`` is an array of one item per kind and ``list[...]``
-    one of zero or more, read into a tuple or a list; ``np.ndarray`` is
-    numbers nested to any depth, all finite, read into a float array."""
-    if hasattr(kind, "from_dict"):
-        return kind.from_dict(value, path)
-    if dataclasses.is_dataclass(kind):
-        return read(value, path, kind)
-    if kind is np.ndarray:
-        try:
-            a = np.array(value)
-        except (TypeError, ValueError, OverflowError):   # ragged nesting
-            a = np.array(None)
-        if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
-            raise DocumentError(f"{path}: expected an array of finite numbers")
-        return a.astype(float)
-    array, kinds = typing.get_origin(kind), typing.get_args(kind)
-    if array:
-        items = _checked(path, value, list, False)
-        if array is list:
-            kinds *= len(items)
-        if len(items) != len(kinds):
-            raise DocumentError(f"{path}: expected {len(kinds)} items, got {items}")
-        return array(_checked(f"{path}[{i}]", v, k, positive)
-                     for i, (v, k) in enumerate(zip(items, kinds)))
-    types = {float: (int, float), int: int, str: str, list: list}
-    ok = isinstance(value, types.get(kind, ())) and not isinstance(value, bool)
-    if ok and kind in (int, float):   # finite as a float: no NaN, inf or huge int
-        ok = abs(value) <= sys.float_info.max and (value > 0 or not positive)
-    if not ok:
-        raise DocumentError(f"{path}: expected {kind.__name__}{' > 0' * positive}, "
-                            f"got {value!r}")
-    return value
-
-
-def _take(section, path, target, keys, positive, seed=0):
-    """Pop the keyword arguments ``keys`` of ``target`` (all by default) from an
-    object, each as "key" or "key:parameter" and checked against the type of
-    its parameter's annotation or default.  A ``train`` key's TrainConfig
-    takes ``seed``, as the default does."""
-    params = inspect.signature(target).parameters
-    kwargs = {}
-    for name in keys.split() if keys else params:
-        key, _, param = name.partition(":")
-        p, at = params[param or key], f"{path}.{key}"
-        if key not in section:
-            if p.default is p.empty:
-                raise DocumentError(f"{at}: missing")
-            kwargs[p.name] = p.default
-        elif key == "train":
-            kwargs[p.name] = read(section.pop(key), at, TrainConfig, TRAIN_KEYS, seed=seed)
-        else:
-            kind = type(p.default) if p.annotation is p.empty else p.annotation
-            kwargs[p.name] = _checked(at, section.pop(key), kind, positive)
-    return kwargs
-
-
-def _done(section, path):
-    if section:
-        raise DocumentError(f"{path}{sorted(section)[0]}: unknown key")
-
-
-def _build(path, cls, kwargs):
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DocumentError(f"{path}: {exc}") from exc
-
-
-def read(value, path, cls, keys=None, **fixed):
-    """A ``cls`` built from the JSON object ``value``, which holds ``keys``
-    (all of ``cls``'s parameters by default) and no other key, and from the
-    keyword arguments ``fixed``."""
-    section = _object(value, path)
-    kwargs = _take(section, path, cls, keys, False)
-    _done(section, f"{path}.")
-    return _build(path, cls, dict(kwargs, **fixed))
-
-
-def check_version(d, path, *legacy):
-    """The persisted model document ``d`` without its version and the
-    ``legacy`` entries older documents carry; DocumentError unless it is a
-    JSON object written under this VERSION."""
-    if not isinstance(d, dict):
-        raise DocumentError(f"{path}: expected an object, got {type(d).__name__}")
-    if d.get("version") != VERSION:
-        raise DocumentError(f"{path}: unsupported model version {d.get('version')}")
-    return {k: v for k, v in d.items() if k not in ("version", *legacy)}
-
-
-def load_json(path):
-    """The JSON document in the file ``path``; DocumentError if it is not JSON."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, too deep
-            raise DocumentError(f"{path}: invalid JSON ({exc})") from exc
-
-
-class JSONPersisted:
-    """JSON file ``save``/``load`` through the class's ``to_dict``/``from_dict``."""
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_dict(load_json(path))
 
 
 @dataclass
@@ -211,7 +75,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
 
 
-class MLPNetwork:
+class MLPNetwork(Document):
     """Fully-connected net: tanh on hidden layers, identity output.
 
     Weight matrix for layer i has shape (layer_sizes[i+1], layer_sizes[i]).
@@ -221,6 +85,9 @@ class MLPNetwork:
     weight matrix and one bias vector of those shapes per layer, and each
     scaler is of its end's layer size.
     """
+
+    KEYS = "layer_sizes weights biases input_range:in_scaler output_range:out_scaler"
+    LEGACY, NAME = ("seed",), "net"   # older files carry the net's seed
 
     def __init__(self, layer_sizes: list[int], weights: list[np.ndarray],
                  biases: list[np.ndarray], in_scaler: FeatureScaler = None,
@@ -323,30 +190,6 @@ class MLPNetwork:
         if np.ndim(x) != 1 or np.shape(dL_dy) != (self.layer_sizes[-1],):
             raise DimensionError("gradients takes one sample and its cotangent")
         return self.vjp(x)[1](dL_dy)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self):
-        d = {
-            "version": VERSION,
-            "layer_sizes": list(self.layer_sizes),
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
-        if self.in_scaler is not None:
-            d["input_range"] = {"lo": self.in_scaler.lo.tolist(),
-                                "hi": self.in_scaler.hi.tolist()}
-        if self.out_scaler is not None:
-            d["output_range"] = {"lo": self.out_scaler.lo.tolist(),
-                                 "hi": self.out_scaler.hi.tolist()}
-        return d
-
-    @classmethod
-    def from_dict(cls, d, path="net"):
-        """The net of a ``to_dict`` document; a ``"seed"`` entry, which older
-        documents carry, is dropped.  Raises DocumentError."""
-        return read(check_version(d, path, "seed"), path, cls,
-                    "layer_sizes weights biases input_range:in_scaler output_range:out_scaler")
 
 
 def mse_loss(net, X, Y):

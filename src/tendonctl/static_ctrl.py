@@ -12,6 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import nets
+from .documents import Document
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
 from .plant import CTRL_DT
 
@@ -28,12 +29,15 @@ F_MAX = 120.0       # top of the pre-training tensions and of h's tension input 
 ONLINE_CAPACITY, ONLINE_BATCH, ONLINE_NEWEST, ONLINE_LR = 2000, 16, 8, 0.05
 
 
-class IntersensoryModel(nets.JSONPersisted):
+class IntersensoryModel(Document):
     """h(theta, f) -> l with a replay buffer for online refinement.
 
     The buffer is a ring of the last ONLINE_CAPACITY triples, held as two
     arrays of rows already mapped to the net's unit ranges: each triple is
     scaled once, when it is inserted, and a batch is one gather."""
+
+    # the buffer is transient and not saved; older files carry online settings
+    KEYS, LEGACY, NAME = "n_joints n_muscles net", ("online",), "h"
 
     def __init__(self, net: MLPNetwork, n_joints: int, n_muscles: int):
         if net.in_scaler is None or net.out_scaler is None:
@@ -100,21 +104,8 @@ class IntersensoryModel(nets.JSONPersisted):
     def prediction_error(self, theta, f, l_meas):
         return np.abs(self.infer_command(theta, f) - np.asarray(l_meas, float))
 
-    # -- persistence -------------------------------------------------------
 
-    def to_dict(self):
-        # the replay buffer is transient and deliberately not persisted
-        return {"version": nets.VERSION, "n_joints": self.n_joints,
-                "n_muscles": self.n_muscles, "net": self.net.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d):
-        """The model of a ``to_dict`` document; an ``"online"`` entry, which
-        older documents carry, is dropped.  Raises nets.DocumentError."""
-        return nets.read(nets.check_version(d, "h", "online"), "h", cls)
-
-
-def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg=None,
+def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg: TrainConfig = None,
                        loss_threshold=1e-4, seed=0):
     """Pre-train the model on the man-made geometric muscle model.
 

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from tendonctl import cli, harness, nets, plant, static_ctrl
+from tendonctl import cli, documents, harness, plant, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel, train_dynamics
-from tendonctl.nets import DocumentError, FeatureScaler, MLPNetwork
+from tendonctl.documents import DocumentError
+from tendonctl.nets import FeatureScaler, MLPNetwork
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
@@ -453,6 +454,23 @@ def use(model):
             model.out_scaler.from_unit(np.zeros(n_out))
 
 
+VERSIONED = {   # each versioned JSON document, read with its version replaced
+    "config": lambda v: cli.read_config({"version": v}),
+    "plant": lambda v: cli.read_config({"version": 1, "plant": dict(ANKLE, version=v)}),
+    "h": lambda v: static_ctrl.IntersensoryModel.from_dict(dict(H_DOC, version=v)),
+    "dynamics-model": lambda v: DynamicsModel.from_dict(dict(MODEL_DOCUMENTS[1][1], version=v)),
+    "net": lambda v: MLPNetwork.from_dict(dict(H_DOC["net"], version=v)),
+}
+
+
+@pytest.mark.parametrize("version", [True, 1.0], ids=["version-true", "version-float"])
+@pytest.mark.parametrize("document", list(VERSIONED))
+def test_a_version_is_the_integer_1(document, version):
+    # True == 1 == 1.0 in Python: both once read as version 1
+    with pytest.raises(DocumentError, match="version: expected int"):
+        VERSIONED[document](version)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(MODEL_DOCUMENTS).flatmap(
     lambda case: mutated([case[1]]).map(lambda doc: (case[0], doc))))
@@ -480,7 +498,7 @@ def write_rollout(path, n=40, **arrays):
     """A rollout archive of ``n`` windows as collect writes it, with ``arrays``
     replaced (None drops one)."""
     rng = np.random.default_rng(0)
-    doc = dict(version=cli.ROLLOUT_VERSION, S0=rng.normal(size=(n, 7)),
+    doc = dict(version=documents.VERSION, S0=rng.normal(size=(n, 7)),
                U=rng.uniform(size=(n, 10)), Y=rng.normal(size=(n, 10)), u_lo=0.0, u_hi=0.6)
     doc.update(arrays)
     np.savez(path, **{k: v for k, v in doc.items() if v is not None})
@@ -492,19 +510,22 @@ def test_collect_writes_what_train_dynamics_reads(tmp_path, static_model_path):
     assert run_cli(tmp_path, ["collect", "--static-model", static_model_path],
                    dynamics=dyn) == 0
     data = tmp_path / "out" / "rollout.npz"
-    assert int(np.load(data)["version"]) == cli.ROLLOUT_VERSION
+    assert int(np.load(data)["version"]) == documents.VERSION
     assert run_cli(tmp_path, ["train-dynamics", "--data", str(data)], dynamics=dyn) == 0
 
 
 @pytest.mark.parametrize("arrays,n,named", [
-    ({"U": None}, 40, "'U'"),
-    ({"version": None}, 40, "'version'"),
-    ({"version": 2}, 40, "version 2"),
+    ({"U": None}, 40, "rollout.U: missing"),
+    ({"version": None}, 40, "rollout.version: expected int, got None"),
+    ({"version": 2}, 40, "rollout.version: expected 1, got 2"),
     ({"Y": np.zeros((40, 9))}, 40, "windows"),
     ({}, 1, "at least two"),
-    ({"Y": np.full((40, 10), np.nan)}, 40, "archive's 'Y' array holds a non-numeric or non-finite"),
+    ({"Y": np.full((40, 10), np.nan)}, 40, "rollout.Y: expected an array of finite numbers"),
+    ({"version": True}, 40, "rollout.version: expected int, got True"),
+    ({"version": 1.0}, 40, "rollout.version: expected int, got 1.0"),
+    ({"seed": np.zeros(3)}, 40, "rollout.seed: unknown key"),
 ], ids=["missing-U", "no-version", "other-version", "shape-mismatch", "one-window",
-        "nan-target"])
+        "nan-target", "version-true", "version-float", "unknown-array"])
 def test_cli_bad_rollout_archive_exits_1(arrays, n, named, tmp_path, no_training, capsys):
     data = write_rollout(tmp_path / "rollout.npz", n=n, **arrays)
     code = run_cli(tmp_path, ["train-dynamics", "--data", data])
@@ -564,7 +585,7 @@ def readme_config_table():
 
 
 def test_readme_config_table_lists_the_keys_the_reader_takes():
-    taken = {"train": set(nets.TRAIN_KEYS.split()), "plant": set(ANKLE)}
+    taken = {"train": set(documents.TRAIN_KEYS.split()), "plant": set(ANKLE)}
     for section, _, keys, _ in cli.SCHEMA.values():
         taken.setdefault(section, set()).update(k.partition(":")[0] for k in keys.split())
     cli.read_config({"version": 1, "plant": ANKLE})   # the fixture sets every plant key
@@ -578,4 +599,4 @@ def test_readme_commands_parse_and_their_configs_read():
     for argv in commands:
         args = parser.parse_args(argv[1:])
         if args.config:
-            cli.read_config(nets.load_json(ROOT / args.config))
+            cli.read_config(documents.load_json(ROOT / args.config))

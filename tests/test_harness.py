@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from tendonctl import cli, harness, static_ctrl
+from tendonctl import cli, documents, harness, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
@@ -331,7 +331,7 @@ def test_cli_initialization_error_exits_1(tmp_path, capsys):
 def test_cli_training_threshold_error_exits_1(tmp_path, capsys):
     rng = np.random.default_rng(0)
     data = tmp_path / "rollout.npz"
-    np.savez(data, version=cli.ROLLOUT_VERSION, S0=rng.normal(size=(40, 2)),
+    np.savez(data, version=documents.VERSION, S0=rng.normal(size=(40, 2)),
              U=rng.uniform(size=(40, 3)), Y=rng.normal(size=(40, 3)), u_lo=0.0, u_hi=1.0)
     cfg = write_config(tmp_path, dynamics={
         "rms_threshold": 1e-12,

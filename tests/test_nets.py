@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tendonctl import nets
-from tendonctl.nets import (DimensionError, DocumentError, FeatureScaler, MLPNetwork,
-                            TrainConfig, finite_difference_input_grad,
-                            mse_loss, sgd_step, train)
+from tendonctl.documents import DocumentError
+from tendonctl.nets import (DimensionError, FeatureScaler, MLPNetwork, TrainConfig,
+                            finite_difference_input_grad, mse_loss, sgd_step, train)
 
 
 def rel_err(a, b):
@@ -463,7 +463,15 @@ def test_serialization_round_trip_exact(tmp_path):
 def test_from_dict_rejects_unknown_version():
     d = MLPNetwork.seeded([1, 1], seed=0).to_dict()
     d["version"] = 99
-    with pytest.raises(DocumentError, match="version 99"):
+    with pytest.raises(DocumentError, match="net.version: expected 1, got 99"):
+        MLPNetwork.from_dict(d)
+
+
+def test_from_dict_refuses_a_boolean_among_the_numbers():
+    # numpy reads [true, 0.5] as [1.0, 0.5]: a true weight once loaded as 1.0
+    d = MLPNetwork.seeded([2, 3, 1], seed=0).to_dict()
+    d["weights"][0][0][0] = True
+    with pytest.raises(DocumentError, match=r"net.weights\[0\]: expected an array"):
         MLPNetwork.from_dict(d)
 
 
