@@ -81,14 +81,9 @@ def read_config(doc, seed=0):
 
 
 def _static_model(args, cfg):
-    """h from --static-model, else pre-trained on the config's body."""
-    if args.static_model:
-        model = IntersensoryModel.load(args.static_model)
-        body = (cfg.geom.n_joints, cfg.geom.n_muscles)
-        if (model.n_joints, model.n_muscles) != body:
-            raise ConfigError(f"{args.static_model} has {model.n_joints} joints and "
-                              f"{model.n_muscles} muscles but the body has {body[0]} and {body[1]}")
-        return model
+    """h from --static-model, else built from the config's body."""
+    if args.static_model:   # bound to the config's body, whose counts it must have
+        return IntersensoryModel.load(args.static_model, geom=cfg.geom)
     return static_ctrl.init_from_geometry(cfg.geom, seed=args.seed, **cfg.static)
 
 

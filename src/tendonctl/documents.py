@@ -146,7 +146,9 @@ class Document:
     """A class saved as one versioned JSON object by its constants: ``KEYS``
     in file order, each "key" or "key:attribute", the attribute also the
     constructor's parameter; ``LEGACY``, entries of older files, dropped on
-    reading; ``NAME``, its path in errors.  A None attribute is left out."""
+    reading; ``NAME``, its path in errors.  A None attribute is left out.
+    Reading takes the constructor's other arguments by keyword, such as the
+    body an h is bound to."""
 
     KEYS, LEGACY, NAME = "", (), "document"
 
@@ -156,15 +158,16 @@ class Document:
         return {"version": VERSION, **{k: _plain(v) for k, v in values.items() if v is not None}}
 
     @classmethod
-    def from_dict(cls, d, path=None):
-        """The ``cls`` of a ``to_dict`` document.  Raises DocumentError."""
+    def from_dict(cls, d, path=None, **fixed):
+        """The ``cls`` of a ``to_dict`` document and of the keyword arguments
+        ``fixed``.  Raises DocumentError."""
         path = path or cls.NAME
-        return read(versioned(d, path, *cls.LEGACY), path, cls, cls.KEYS)
+        return read(versioned(d, path, *cls.LEGACY), path, cls, cls.KEYS, **fixed)
 
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh)
 
     @classmethod
-    def load(cls, path):
-        return cls.from_dict(load_json(path))
+    def load(cls, path, **fixed):
+        return cls.from_dict(load_json(path), **fixed)

@@ -250,11 +250,6 @@ def compare_controllers(scenario, rig_factory, dynamics_model, cfg_doc,
 # arm rig experiments: relaxation, safety, online learning, EKF
 
 
-def _geometric_commands(geom, theta_ref, f_ref):
-    """Ideal inverse command: geometric length minus elastic elongation."""
-    return geom.muscle_lengths(theta_ref) - elastic_elongation(geom, f_ref)
-
-
 MRC_SETTLE_S = 2.0   # co-contracted hold before relaxation starts [s]
 
 
@@ -268,8 +263,8 @@ def run_mrc_experiment(duration_s=5.0, theta_hold=(0.3, -0.4), f_bias=40.0,
     p = Plant(geom, ARM_PLANT_CONFIG)
     theta_hold = np.array(theta_hold, dtype=float)
     f_ref = np.full(geom.n_muscles, float(f_bias))
-    l_base = _geometric_commands(geom, theta_hold, f_ref)
-    state = p.initial_state(theta_hold)
+    l_base = np.array(geom.commanded_lengths(theta_hold.tolist(), f_ref.tolist()))
+    state = p.initial_state(theta_hold)   # checks theta_hold against the limits
 
     # settle into the co-contracted hold
     for _ in range(ticks(MRC_SETTLE_S)):

@@ -62,15 +62,11 @@ class MuscleSpec:
             raise ValueError(f"muscle {self.name}: k2 must be positive")
 
 
-def elastic_tension(params, stretch):
-    """Quadratic stiffening wire: zero force when slack, k2*stretch^2 taut.
-    ``params`` is any object with ``k2`` and ``slack``, such as the geometry."""
-    s = np.maximum(0.0, np.asarray(stretch, dtype=float) - params.slack)
-    return params.k2 * s * s
-
-
 def elastic_elongation(params, tension):
-    """Inverse of elastic_tension for tension >= 0."""
+    """The stretch slack + sqrt(f / k2) at which a wire carries a tension
+    f >= 0: the inverse, above the slack, of the quadratic stiffening wire
+    that Plant.step applies, f = k2 * max(stretch - slack, 0)^2.  ``params``
+    is any object with ``k2`` and ``slack``, such as the geometry."""
     f = np.maximum(0.0, np.asarray(tension, dtype=float))
     return params.slack + np.sqrt(f / params.k2)
 
@@ -90,8 +86,7 @@ class MuscleGeometry:
     moves each point p that it carries by z x (p - o_j), where o_j is the
     joint's world position (the planar revolute point Jacobian; Murray, Li &
     Sastry, 1994, ch. 3).  ``k2`` and ``slack`` hold every muscle's elastic
-    parameters, so the geometry serves as the params of elastic_tension and
-    elastic_elongation.
+    parameters, so the geometry serves as the params of elastic_elongation.
 
     The pass runs on Python floats: on a body of a few segments, numpy's
     fixed cost per call is most of what an array pass pays.  Three numpy
@@ -218,6 +213,18 @@ class MuscleGeometry:
         """Geometric path length (plus calibration offset) per muscle."""
         return np.array(self._paths(self._check_theta(theta)))
 
+    def commanded_lengths(self, theta, f, jacobian=False):
+        """The actuated lengths that hold the pose ``theta`` at the tensions
+        ``f``: each path length less the elastic elongation of its tension,
+        as a list, and with ``jacobian`` also G.  ``theta`` and ``f`` are
+        lists of floats, and ``theta`` is not checked against the limits.
+        The same floats as muscle_lengths(theta) - elastic_elongation(self, f)."""
+        paths = self._paths(theta, jacobian)
+        lengths, G = paths if jacobian else (paths, None)
+        lengths = [lg - (slack + math.sqrt(max(fi, 0.0) / k2))
+                   for lg, fi, (k2, slack) in zip(lengths, f, self._elastic)]
+        return (lengths, G) if jacobian else lengths
+
     def jacobian(self, theta):
         """d(muscle length)/d(joint angle), analytic."""
         return self._paths(self._check_theta(theta), jacobian=True)[1]
@@ -307,7 +314,7 @@ class Plant:
         for _ in range(STEPS_PER_TICK):
             l_act = [la + dt * (r - la) / TAU_SERVO for la, r in zip(l_act, l_ref)]
             l_geo, G = geom._paths(theta, jacobian=True)
-            f = []   # elastic_tension of the stretch, on floats
+            f = []   # the quadratic wire's tension of the stretch, on floats
             for (k2, slack), lg, la in zip(geom._elastic, l_geo, l_act):
                 s = max(lg - la - slack, 0.0)
                 f.append(k2 * s * s)

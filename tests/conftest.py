@@ -20,10 +20,10 @@ def arm_geom():
 
 @pytest.fixture(scope="session")
 def static_model(ankle_geom):
-    """Geometric pre-trained intersensory model for the ankle (read-only).
+    """The intersensory model built from the ankle's geometry (read-only).
 
     Tests that mutate the model (online updates) must deepcopy it first.
-    It is the h that the CLI pre-trains at seed 0 without a static section.
+    It is the h that the CLI builds at seed 0 without a static section.
     """
     return init_from_geometry(ankle_geom, seed=0)
 

@@ -1,14 +1,17 @@
 """The names the benchmark patches or stamps resolve to callables in src/,
-so that a rename fails here, not in a benchmark run.  perfbench/ is read,
+and the calls it makes still take its arguments, so that a rename or a
+signature change fails here, not in a benchmark run.  perfbench/ is read,
 never changed."""
 
+import importlib
 import importlib.util
 import re
 from pathlib import Path
 
-from tendonctl import harness, static_ctrl
+from tendonctl import cli, harness, plant, static_ctrl
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 # the (owner, attribute) of every TickClock in perfbench/workloads.py
 TICK_TARGETS = [("harness.PedalRig", "apply"), ("harness", "solve_tension_qp"),
@@ -41,3 +44,18 @@ def test_tick_clock_targets_resolve_to_callables():
         for name in path:
             owner = getattr(owner, name)
         assert callable(patched(owner, attr)), f"{dotted}.{attr}"
+
+
+def test_init_from_geometry_takes_the_benchmark_s_keywords(tmp_path, monkeypatch):
+    # estimate_learn's STATIC_KW and quick keywords, and drive_mpc's quick
+    # static section as the CLI reads it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    drive = workloads.DriveMPC(0, ROOT, tmp_path, quick=True)
+    keywords = [workloads.STATIC_KW,
+                workloads.EstimateLearn(0, ROOT, tmp_path, quick=True).static_kw,
+                cli.read_config(drive.doc).static]
+    assert {"grid_points", "f_samples", "loss_threshold", "train_cfg"} <= set(keywords[1])
+    for kw in keywords:
+        model = static_ctrl.init_from_geometry(plant.default_ankle_geometry(), **kw)
+        assert model.net.weights

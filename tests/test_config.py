@@ -3,6 +3,7 @@ checked against the config, one pre-training call, README commands."""
 
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -23,6 +24,7 @@ from tendonctl.nets import FeatureScaler, MLPNetwork
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
 ANKLE = json.loads((ROOT / "tests" / "fixtures" / "ankle_description.json").read_text())
+ANKLE_GEOM = plant.default_ankle_geometry()
 
 
 def run_cli(tmp_path, argv, **sections):
@@ -393,7 +395,8 @@ def scaled_net(sizes):
 def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys):
     # h of a 2-joint, 6-muscle arm against the config's ankle is refused when
     # the stack is built, not at the first tick
-    arm_h = static_ctrl.IntersensoryModel(scaled_net([8, 4, 6]), 2, 6)
+    arm_h = static_ctrl.IntersensoryModel(scaled_net([8, 4, 6]), 2, 6,
+                                          plant.default_arm_geometry())
     arm_h.save(tmp_path / "arm_h.json")
     code = run_cli(tmp_path, ["collect", "--static-model", str(tmp_path / "arm_h.json")])
     assert_one_line_error(code, capsys, "2 joints and 6 muscles", "has 1 and 2")
@@ -404,16 +407,16 @@ def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys)
     (b"\xff", "invalid JSON"),
     (b"[" * 100_000, "invalid JSON"),
     (b"[]", "expected an object, got list"),
-    (lambda d: d.pop("net"), "h.net: missing"),
+    (lambda d: d.pop("residual"), "h.residual: missing"),
     (lambda d: d.update(n_joints=1.0), "h.n_joints: expected int"),
-    (lambda d: d["net"]["weights"][1].pop(), "h.net: layer 1: weight shape (63, 64)"),
-    (lambda d: d["net"]["weights"][0][0].__setitem__(0, float("nan")),
-     "h.net.weights[0]: expected an array of finite numbers"),
-    (lambda d: d["net"]["input_range"].update(hi=d["net"]["input_range"]["lo"]),
-     "net.input_range: scaler ranges must have hi > lo"),
-    (lambda d: d["net"].pop("output_range"), "output_range"),
-    (lambda d: d.update(net=scaled_net([3, 4, 3]).to_dict()), "h: net layers [3, 4, 3]"),
-    (lambda d: d["net"].update(dropout=0.5), "h.net.dropout: unknown key"),
+    (lambda d: d["residual"]["weights"][1].pop(), "h.residual: layer 1: weight shape (15, 16)"),
+    (lambda d: d["residual"]["weights"][0][0].__setitem__(0, float("nan")),
+     "h.residual.weights[0]: expected an array of finite numbers"),
+    (lambda d: d["residual"]["input_range"].update(hi=d["residual"]["input_range"]["lo"]),
+     "residual.input_range: scaler ranges must have hi > lo"),
+    (lambda d: d["residual"].pop("output_range"), "output_range"),
+    (lambda d: d.update(residual=scaled_net([3, 4, 3]).to_dict()), "h: net layers [3, 4, 3]"),
+    (lambda d: d["residual"].update(dropout=0.5), "h.residual.dropout: unknown key"),
 ], ids=["not-json", "not-utf-8", "nested-too-deep", "json-list", "no-net", "joints-not-an-integer",
         "weights-do-not-chain", "nan-weight", "scaler-hi-not-above-lo", "no-output-scaler",
         "three-outputs-for-two-muscles", "unknown-key"])
@@ -431,11 +434,26 @@ def test_cli_malformed_static_model_exits_1(defect, named, tmp_path, static_mode
     assert_one_line_error(code, capsys, named)
 
 
-H_DOC = static_ctrl.IntersensoryModel(scaled_net([3, 4, 2]), 1, 2).to_dict()
-MODEL_DOCUMENTS = [
-    (static_ctrl.IntersensoryModel, H_DOC),
-    (DynamicsModel, DynamicsModel(scaled_net([5, 4, 3]), 2, 3, (0.0, 0.6)).to_dict()),
-    (MLPNetwork, H_DOC["net"]),
+@pytest.mark.parametrize("argv", [["run"], ["collect"], ["experiment", "ekf"],
+                                  ["experiment", "online"]], ids=lambda argv: "-".join(argv))
+def test_cli_net_only_static_model_exits_1(argv, tmp_path, static_model, no_training, capsys):
+    # an h written before the geometric prior holds its whole map under
+    # "net"; read as the residual it would add the geometry twice
+    doc = static_model.to_dict()
+    doc["net"] = doc.pop("residual")
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli(tmp_path, argv + ["--static-model", str(path)])
+    assert_one_line_error(code, capsys, "h.residual: missing")
+
+
+H_DOC = static_ctrl.IntersensoryModel(scaled_net([3, 4, 2]), 1, 2, ANKLE_GEOM).to_dict()
+READ_H = functools.partial(static_ctrl.IntersensoryModel.from_dict, geom=ANKLE_GEOM)
+MODEL_DOCUMENTS = [   # (reader, document)
+    (READ_H, H_DOC),
+    (DynamicsModel.from_dict,
+     DynamicsModel(scaled_net([5, 4, 3]), 2, 3, (0.0, 0.6)).to_dict()),
+    (MLPNetwork.from_dict, H_DOC["residual"]),
 ]
 
 
@@ -457,9 +475,9 @@ def use(model):
 VERSIONED = {   # each versioned JSON document, read with its version replaced
     "config": lambda v: cli.read_config({"version": v}),
     "plant": lambda v: cli.read_config({"version": 1, "plant": dict(ANKLE, version=v)}),
-    "h": lambda v: static_ctrl.IntersensoryModel.from_dict(dict(H_DOC, version=v)),
+    "h": lambda v: READ_H(dict(H_DOC, version=v)),
     "dynamics-model": lambda v: DynamicsModel.from_dict(dict(MODEL_DOCUMENTS[1][1], version=v)),
-    "net": lambda v: MLPNetwork.from_dict(dict(H_DOC["net"], version=v)),
+    "net": lambda v: MLPNetwork.from_dict(dict(H_DOC["residual"], version=v)),
 }
 
 
@@ -474,13 +492,13 @@ def test_a_version_is_the_integer_1(document, version):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(MODEL_DOCUMENTS).flatmap(
     lambda case: mutated([case[1]]).map(lambda doc: (case[0], doc))))
-@example((static_ctrl.IntersensoryModel, dict(H_DOC, n_joints=2)))
-@example((MLPNetwork, {"version": 1, "layer_sizes": [3], "weights": [], "biases": []}))
-@example((MLPNetwork, dict(H_DOC["net"], biases=[[0.0] * 4, [0.0, float("nan")]])))
+@example((READ_H, dict(H_DOC, n_joints=2)))
+@example((MLPNetwork.from_dict, {"version": 1, "layer_sizes": [3], "weights": [], "biases": []}))
+@example((MLPNetwork.from_dict, dict(H_DOC["residual"], biases=[[0.0] * 4, [0.0, float("nan")]])))
 def test_model_readers_return_a_usable_model_or_raise_document_error(case):
-    cls, doc = case
+    reader, doc = case
     try:
-        model = cls.from_dict(doc)
+        model = reader(doc)
     except DocumentError:
         return
     net = model if isinstance(model, MLPNetwork) else model.net

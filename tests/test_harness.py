@@ -11,8 +11,8 @@ from tendonctl import cli, documents, harness, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
-from tendonctl.plant import default_arm_geometry
-from test_config import scaled_net
+from tendonctl.plant import default_ankle_geometry, default_arm_geometry
+from test_config import ANKLE, scaled_net
 
 
 # -- metrics ---------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_cli_init_model_roundtrip(tmp_path):
     out = tmp_path / "m"
     assert cli.main(["init-model", "--config", str(cfg), "--out", str(out)]) == 0
     from tendonctl.static_ctrl import IntersensoryModel
-    model = IntersensoryModel.load(out / "static_model.json")
+    model = IntersensoryModel.load(out / "static_model.json", geom=default_ankle_geometry())
     assert model.n_muscles == 2
 
 
@@ -321,9 +321,11 @@ def test_cli_run_pretrains_static_model_once(tmp_path, monkeypatch):
 
 
 def test_cli_initialization_error_exits_1(tmp_path, capsys):
+    # slack wires leave a residual at zero tension that one epoch cannot fit
     static = dict(TINY_STATIC, loss_threshold=1e-12,
                   train={"learning_rate": 0.1, "batch_size": 16, "epochs": 1})
-    cfg = write_config(tmp_path, static=static)
+    body = dict(ANKLE, muscles=[dict(m, slack=0.002) for m in ANKLE["muscles"]])
+    cfg = write_config(tmp_path, static=static, plant=body)
     code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert_one_line_error(code, capsys)
 

@@ -401,6 +401,18 @@ def test_scaler_maps_match_old_expressions_bit_for_bit():
         assert np.array_equal(sc.from_unit_scale(), (hi - lo) / 2.0)
 
 
+def test_scaler_float_maps_equal_the_array_maps_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 8):
+        lo = rng.uniform(-5.0, 5.0, n)
+        sc = FeatureScaler(lo, lo + rng.uniform(0.01, 10.0, n))
+        for x in rng.uniform(-10.0, 10.0, size=(20, n)):
+            assert np.array_equal(sc.to_unit_floats(x.tolist()), sc.to_unit(x))
+            assert np.array_equal(sc.from_unit_floats(x.tolist()), sc.from_unit(x))
+    # copies rebuild the float constants from their own lo and hi
+    assert copy.deepcopy(sc).to_unit_floats(x.tolist()) == sc.to_unit_floats(x.tolist())
+
+
 def test_scaler_arrays_are_read_only_copies():
     lo, hi = np.array([-2.0, 0.0]), np.array([2.0, 10.0])
     sc = FeatureScaler(lo, hi)

@@ -15,12 +15,19 @@ from tendonctl.plant import (ANKLE_PLANT_CONFIG, ARM_PLANT_CONFIG, C_AMBIENT, CT
                              CarConfig, CarState, JointRangeError, JointSpec,
                              MuscleGeometry, MuscleSpec, Plant, PlantState, car_drag,
                              car_step, default_ankle_geometry, default_arm_geometry,
-                             elastic_elongation, elastic_tension, ticks)
+                             elastic_elongation, ticks)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 # -- elastic element -------------------------------------------------------
+
+
+def elastic_tension(params, stretch):
+    """Quadratic stiffening wire: zero force when slack, k2*stretch^2 taut
+    (the reference; Plant.step applies it on floats)."""
+    s = np.maximum(0.0, np.asarray(stretch, dtype=float) - params.slack)
+    return params.k2 * s * s
 
 
 def wire(k2, slack=0.0):
@@ -296,6 +303,23 @@ def test_float_pass_equals_the_array_pass_on_branching_bodies(data):
     theta = np.array([data.draw(st.floats(lo, hi))
                       for lo, hi in zip(geom.limits_lo, geom.limits_hi)])
     _assert_float_pass_is_the_array_pass(geom, theta)
+
+
+@pytest.mark.parametrize("body", ["ankle", "arm"])
+def test_commanded_lengths_are_lengths_less_elongation(body):
+    base = BODIES[body]()
+    rng = np.random.default_rng(6)
+    for slack in (0.0, 0.002):
+        geom = MuscleGeometry(base.joints, [replace(m, slack=slack) for m in base.muscles])
+        for theta in rng.uniform(geom.limits_lo, geom.limits_hi, size=(50, geom.n_joints)):
+            f = rng.uniform(-10.0, 150.0, size=geom.n_muscles)   # below 0 reads as 0
+            expect = geom.muscle_lengths(theta) - elastic_elongation(geom, f)
+            assert np.array_equal(geom.commanded_lengths(theta.tolist(), f.tolist()), expect)
+            lengths, G = geom.commanded_lengths(theta.tolist(), f.tolist(), jacobian=True)
+            assert np.array_equal(lengths, expect) and np.array_equal(G, geom.jacobian(theta))
+    # no limit check: the EKF's estimate may step past a limit
+    assert len(base.commanded_lengths([9.0] * base.n_joints, [0.0] * base.n_muscles)) \
+        == base.n_muscles
 
 
 def test_joint_limits_enforced():

@@ -8,13 +8,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tendonctl import static_ctrl
+from tendonctl import cli, nets, static_ctrl
 from tendonctl.nets import DimensionError, FeatureScaler, MLPNetwork, TrainConfig
 from tendonctl.plant import (ANKLE_PLANT_CONFIG, CTRL_DT, MuscleGeometry, Plant,
-                             default_ankle_geometry, elastic_elongation)
+                             default_ankle_geometry, default_arm_geometry,
+                             elastic_elongation)
 from tendonctl.static_ctrl import (EKFEstimator, InitializationError,
                                    IntersensoryModel, ONLINE_CAPACITY, ekf_step,
                                    init_from_geometry)
+
+ANKLE, ARM = default_ankle_geometry(), default_arm_geometry()
+
+
+def slack_ankle(slack=0.002):
+    """The ankle with slack wires: the geometric targets subtract the slack
+    of a taut wire only, so the prior misses them at zero tension."""
+    return MuscleGeometry(ANKLE.joints, [replace(m, slack=slack) for m in ANKLE.muscles])
 
 
 # -- geometric pre-training ------------------------------------------------
@@ -27,33 +36,64 @@ def test_init_reproduces_geometric_lengths(static_model, ankle_geom):
     f0 = np.zeros(ankle_geom.n_muscles)
     for theta in thetas:
         pred = static_model.infer_command(theta, f0)
-        assert np.max(np.abs(pred - ankle_geom.muscle_lengths(theta))) < 1e-3
+        assert np.max(np.abs(pred - ankle_geom.muscle_lengths(theta))) < 1e-12
 
 
 def test_tension_shifts_length_by_elastic_elongation(static_model, ankle_geom):
-    # [DERIVED] elastic_tension inverse: l(theta, 0) - l(theta, 100) ~ elongation
+    # [DERIVED] the elastic law's inverse: l(theta, 0) - l(theta, 100) = elongation
     theta = np.array([0.3])
     f100 = np.full(ankle_geom.n_muscles, 100.0)
     diff = (static_model.infer_command(theta, np.zeros(2))
             - static_model.infer_command(theta, f100))
     elong = elastic_elongation(ankle_geom, f100)   # the geometry holds k2 and slack
-    assert np.max(np.abs(diff - elong)) < 5e-4
+    assert np.max(np.abs(diff - elong)) < 1e-12
 
 
-def test_init_seeded_twice_identical(ankle_geom):
+def test_initial_jacobian_is_the_geometry_s(static_model, ankle_geom):
+    rng = np.random.default_rng(5)
+    for theta in rng.uniform(ankle_geom.limits_lo, ankle_geom.limits_hi, size=(20, 1)):
+        _, H = static_model.length_jacobian_theta(theta, rng.uniform(0.0, 120.0, size=2))
+        assert np.max(np.abs(H - ankle_geom.jacobian(theta))) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_init_on_a_body_without_slack_runs_no_epoch(seed, monkeypatch):
+    # the prior is the geometric targets; the 15 x 12 grid only checks that
+    # the residual net, started at zero, meets the threshold
+    def train(*args):
+        raise AssertionError("an epoch ran")
+    monkeypatch.setattr(nets, "train", train)
+    for geom in (ANKLE, ARM):
+        model = init_from_geometry(geom, seed=seed)
+        assert not any(w.any() for w in (model.net.weights[-1], model.net.biases[-1]))
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_cli_init_model_at_a_seed_that_missed_the_threshold(seed, tmp_path):
+    # the net-only h missed 1e-4 at seeds 2-5 (final loss 1.02-1.12e-4)
+    out = tmp_path / "out"
+    assert cli.main(["init-model", "--seed", str(seed), "--out", str(out)]) == 0
+    model = IntersensoryModel.load(out / "static_model.json", geom=ANKLE)
+    theta, f = np.array([0.4]), np.full(2, 30.0)
+    assert np.array_equal(model.infer_command(theta, f),
+                          ANKLE.muscle_lengths(theta) - elastic_elongation(ANKLE, f))
+
+
+def test_init_seeded_twice_identical():
     kwargs = dict(grid_points=5, f_samples=4,
                   train_cfg=TrainConfig(learning_rate=0.1, epochs=40, seed=0),
-                  loss_threshold=10.0, seed=0)
-    a = init_from_geometry(ankle_geom, **kwargs)
-    b = init_from_geometry(ankle_geom, **kwargs)
-    for wa, wb in zip(a.net.weights, b.net.weights):
+                  loss_threshold=8e-3, seed=0)   # the residual's loss starts at 1e-2
+    a = init_from_geometry(slack_ankle(), **kwargs)
+    b = init_from_geometry(slack_ankle(), **kwargs)
+    assert a.net.weights[-1].any()   # a fit ran: the last layer left zero
+    for wa, wb in zip(a.net.weights + a.net.biases, b.net.weights + b.net.biases):
         assert np.array_equal(wa, wb)
 
 
-def test_init_threshold_failure_raises(ankle_geom):
-    # one epoch at a rate of 1e-6 leaves the seeded net's loss far above 1e-12
+def test_init_threshold_failure_raises():
+    # one epoch at a rate of 1e-6 leaves the zero-started residual's loss far above 1e-12
     with pytest.raises(InitializationError):
-        init_from_geometry(ankle_geom, grid_points=5, f_samples=4,
+        init_from_geometry(slack_ankle(), grid_points=5, f_samples=4,
                            train_cfg=TrainConfig(learning_rate=1e-6, epochs=1),
                            loss_threshold=1e-12)
 
@@ -133,10 +173,11 @@ def test_online_update_learns_injected_offset(static_model):
 
 
 def _unit_model():
+    """An untrained h of the ankle's 1 joint and 2 muscles."""
     net = MLPNetwork.seeded([3, 4, 2], seed=0,
                             in_scaler=FeatureScaler(-np.ones(3), np.ones(3)),
                             out_scaler=FeatureScaler(-np.ones(2), np.ones(2)))
-    return IntersensoryModel(net, 1, 2)
+    return IntersensoryModel(net, 1, 2, ANKLE)
 
 
 def test_buffer_evicts_oldest_first():
@@ -156,8 +197,9 @@ def test_buffer_evicts_oldest_first():
 def _reference_online_update(model, rng, buffer, theta, f, l):
     """The update as it stood with its own batch step and a deque of raw
     triples (the reference): 8 newest triples, 8 replayed, one MSE step at
-    rate 0.05."""
-    buffer.append((np.concatenate([theta, f]), l.copy()))
+    rate 0.05 toward the length's residual from the geometric prior."""
+    prior = ANKLE.muscle_lengths(theta) - elastic_elongation(ANKLE, f)
+    buffer.append((np.concatenate([theta, f]), l - prior))
     n_new = min(8, len(buffer))
     newest = [buffer[i] for i in range(len(buffer) - n_new, len(buffer))]
     n_replay = min(16 - n_new, len(buffer))
@@ -180,8 +222,9 @@ def test_online_update_matches_reference_bit_for_bit():
     rng, buffer = np.random.default_rng(0), deque(maxlen=ONLINE_CAPACITY)
     data = np.random.default_rng(9).uniform(-1, 1, size=(ONLINE_CAPACITY + 40, 5))
     for row in data:
-        model.online_update(row[:1], row[1:3], row[3:])
-        _reference_online_update(ref, rng, buffer, row[:1], row[1:3], row[3:])
+        theta = 0.3 + 0.5 * row[:1]   # within the ankle's limits
+        model.online_update(theta, row[1:3], row[3:])
+        _reference_online_update(ref, rng, buffer, theta, row[1:3], row[3:])
     for a, b in zip(model.net.weights + model.net.biases, ref.net.weights + ref.net.biases):
         assert np.array_equal(a, b)
 
@@ -204,35 +247,43 @@ def test_model_round_trip(tmp_path, static_model):
         model.online_update(theta + 0.01 * k, f, l)
     path = tmp_path / "model.json"
     model.save(path)
-    back = IntersensoryModel.load(path)
+    back = IntersensoryModel.load(path, geom=model.geom)
     assert np.array_equal(back.infer_command(theta, f), model.infer_command(theta, f))
     assert back.n_joints == 1 and back.n_muscles == 2
     # the replay buffer is transient: the loaded model's first online update
     # is that of a fresh model of the same net
-    fresh = IntersensoryModel(copy.deepcopy(model.net), 1, 2)
+    fresh = IntersensoryModel(copy.deepcopy(model.net), 1, 2, model.geom)
     back.online_update(theta, f, l)
     fresh.online_update(theta, f, l)
     for a, b in zip(back.net.weights + back.net.biases, fresh.net.weights + fresh.net.biases):
         assert np.array_equal(a, b)
 
 
-def test_older_document_with_online_and_seed_loads_bit_identically(static_model):
-    # documents written before the online settings and the net seed became
-    # constants carry both; they load and infer as before
+def test_residual_net_with_a_seed_loads_bit_identically(static_model):
+    # nets written before the net seed became a constant carry it
     d = static_model.to_dict()
-    d["online"] = {"buffer_capacity": 2000, "batch_size": 16, "learning_rate": 0.05,
-                   "new_fraction": 0.5, "seed": 0}
-    d["net"]["seed"] = 0
-    back = IntersensoryModel.from_dict(json.loads(json.dumps(d)))
+    d["residual"]["seed"] = 0
+    back = IntersensoryModel.from_dict(json.loads(json.dumps(d)), geom=ANKLE)
     theta, f = np.array([0.4]), np.full(2, 55.0)
     assert np.array_equal(back.infer_command(theta, f), static_model.infer_command(theta, f))
+
+
+def test_net_only_document_is_refused(static_model):
+    # an h written before the geometric prior holds its whole map under "net"
+    # (and, older still, its online settings): read as a residual it would
+    # add the geometry twice
+    d = static_model.to_dict()
+    d["net"] = d.pop("residual")
+    for old in (d, dict(d, online={"buffer_capacity": 2000})):
+        with pytest.raises(ValueError, match="h.residual: missing"):
+            IntersensoryModel.from_dict(json.loads(json.dumps(old)), geom=ANKLE)
 
 
 def test_from_dict_rejects_unknown_version(static_model):
     d = static_model.to_dict()
     d["version"] = 99
     with pytest.raises(ValueError, match="version"):
-        IntersensoryModel.from_dict(d)
+        IntersensoryModel.from_dict(d, geom=ANKLE)
 
 
 def test_constructor_refuses_a_net_it_cannot_run():
@@ -240,10 +291,13 @@ def test_constructor_refuses_a_net_it_cannot_run():
     net = _unit_model().net   # 3 inputs, 2 outputs, both scalers
     bare = MLPNetwork(net.layer_sizes, net.weights, net.biases, in_scaler=net.in_scaler)
     with pytest.raises(ValueError, match="output_range"):
-        IntersensoryModel(bare, 1, 2)
+        IntersensoryModel(bare, 1, 2, ANKLE)
     for n_joints, n_muscles in ((2, 2), (2, 1), (0, 3)):
         with pytest.raises(DimensionError, match="do not map"):
-            IntersensoryModel(net, n_joints, n_muscles)
+            IntersensoryModel(net, n_joints, n_muscles, ANKLE)
+    # a net of the file's counts, but not of the body's
+    with pytest.raises(ValueError, match="1 joints and 2 muscles, but the body has 2 and 6"):
+        IntersensoryModel(net, 1, 2, ARM)
 
 
 # -- EKF -------------------------------------------------------------------
@@ -310,7 +364,7 @@ def test_length_jacobian_matches_finite_differences(static_model):
 
 
 def _reference_length_jacobian(model, theta, f):
-    """One input-gradient pass per muscle (the reference)."""
+    """The geometry's G plus one input-gradient pass per muscle (the reference)."""
     net, nj = model.net, model.n_joints
     x = net.in_scaler.to_unit(np.concatenate([theta, f]))
     in_scale = net.in_scaler.to_unit_scale()[:nj]
@@ -319,7 +373,7 @@ def _reference_length_jacobian(model, theta, f):
     for i, e in enumerate(np.eye(model.n_muscles)):
         _, dx = net.gradients(x, e)
         H[i] = out_scale[i] * dx[:nj] * in_scale
-    return H
+    return model.geom.jacobian(theta) + H
 
 
 def _arm_model():
@@ -328,15 +382,15 @@ def _arm_model():
         MLPNetwork.seeded([8, 12, 6], seed=3,
                           in_scaler=FeatureScaler(np.r_[-1.0, -1.5, np.zeros(6)],
                                                   np.r_[1.0, 1.5, np.full(6, 120.0)]),
-                          out_scaler=FeatureScaler(np.full(6, 0.1), np.full(6, 0.4))),
-        n_joints=2, n_muscles=6)
+                          out_scaler=FeatureScaler(np.full(6, -0.01), np.full(6, 0.02))),
+        n_joints=2, n_muscles=6, geom=ARM)
 
 
 def test_length_jacobian_matches_per_muscle_loop(static_model):
     rng = np.random.default_rng(4)
     for model in (static_model, _arm_model()):
         for _ in range(5):
-            theta = rng.uniform(-0.5, 0.5, size=model.n_joints)
+            theta = rng.uniform(model.geom.limits_lo, model.geom.limits_hi)
             f = rng.uniform(0.0, 100.0, size=model.n_muscles)
             l, H = model.length_jacobian_theta(theta, f)
             np.testing.assert_allclose(H, _reference_length_jacobian(model, theta, f),
@@ -346,7 +400,9 @@ def test_length_jacobian_matches_per_muscle_loop(static_model):
 
 
 def _old_length_jacobian(model, theta, f):
-    """length_jacobian_theta as it was: spans, scales and an identity per call."""
+    """length_jacobian_theta as it was (spans, scales and an identity per
+    call), plus the geometric prior and its G from the geometry's public
+    calls."""
     (i_lo, i_hi), (o_lo, o_hi) = ((s.lo, s.hi) for s in (model.net.in_scaler,
                                                        model.net.out_scaler))
     x = 2.0 * (np.concatenate([theta, f]) - i_lo) / (i_hi - i_lo) - 1.0
@@ -354,8 +410,10 @@ def _old_length_jacobian(model, theta, f):
     out_scale = (o_hi - o_lo) / 2.0
     y, pullback = model.net.vjp(x)
     _, dx = pullback(np.eye(model.n_muscles), weights=False)
-    return (o_lo + (y + 1.0) * (o_hi - o_lo) / 2.0,
-            out_scale[:, None] * dx[:, :model.n_joints] * in_scale)
+    geom = model.geom
+    return (o_lo + (y + 1.0) * (o_hi - o_lo) / 2.0
+            + (geom.muscle_lengths(theta) - elastic_elongation(geom, f)),
+            geom.jacobian(theta) + out_scale[:, None] * dx[:, :model.n_joints] * in_scale)
 
 
 def _old_ekf_step(est, model, l_meas, f_meas):
@@ -374,7 +432,7 @@ def test_length_jacobian_and_ekf_step_match_old_expressions_bit_for_bit(static_m
     for model in (static_model, _arm_model()):
         est = EKFEstimator.create(np.zeros(model.n_joints), model.n_muscles)
         for _ in range(25):
-            theta = rng.uniform(-0.5, 0.5, size=model.n_joints)
+            theta = rng.uniform(model.geom.limits_lo, model.geom.limits_hi)
             f = rng.uniform(0.0, 100.0, size=model.n_muscles)
             l, H = model.length_jacobian_theta(theta, f)
             l_old, H_old = _old_length_jacobian(model, theta, f)
