@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands build models, collect rollouts, train the dynamics net, run the
-scripted scenarios and the arm and ankle experiments.  Exit codes: 0 success,
+Subcommands collect rollouts, train the dynamics net, run the scripted
+scenarios and the arm and ankle experiments.  Every command that needs h
+builds it from the config's body at --seed.  Exit codes: 0 success,
 1 config/usage, model or IO error (one line on stderr), 2 acceptance-metric
 failure under --assert.
 """
@@ -22,7 +23,7 @@ from .harness import (Scenario, build_pedal_rig, compare_controllers,
 from .documents import (VERSION, DocumentError, as_object, build, done, load_json, read,
                         take, versioned)
 from .plant import CarConfig, MuscleGeometry, default_ankle_geometry, ticks
-from .static_ctrl import InitializationError, IntersensoryModel
+from .static_ctrl import InitializationError
 
 # The config schema.  Attribute of the read config: (section, what takes its
 # keys, the keys as "key" or "key:parameter", whether their numbers must be
@@ -42,6 +43,14 @@ SCHEMA = {
 
 class ConfigError(Exception):
     """A usage error: a flag, or a model or rollout file the run cannot use."""
+
+
+class Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that they
+    end in one line like every other, not in a usage block."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def read_config(doc, seed=0):
@@ -81,9 +90,7 @@ def read_config(doc, seed=0):
 
 
 def _static_model(args, cfg):
-    """h from --static-model, else built from the config's body."""
-    if args.static_model:   # bound to the config's body, whose counts it must have
-        return IntersensoryModel.load(args.static_model, geom=cfg.geom)
+    """h built from the config's body at --seed."""
     return static_ctrl.init_from_geometry(cfg.geom, seed=args.seed, **cfg.static)
 
 
@@ -98,7 +105,7 @@ def _stack(args, cfg, learned=True):
     model = _static_model(args, cfg)
 
     def rig_factory():
-        return build_pedal_rig(static_model=model, car_cfg=cfg.car_cfg, geom=cfg.geom)
+        return build_pedal_rig(static_model=model, car_cfg=cfg.car_cfg)
 
     n = rig_factory().extended_state().size if dyn else None
     if dyn and dyn.state_dim != n:
@@ -120,13 +127,6 @@ def _out_path(args, name):
 def _emit(args, report, name="report.json"):
     report.save(_out_path(args, name))
     print(report.to_json())
-
-
-def cmd_init_model(args, cfg):
-    path = _out_path(args, "static_model.json")
-    _static_model(args, cfg).save(path)
-    print(f"wrote {path}")
-    return 0
 
 
 def cmd_collect(args, cfg):
@@ -222,8 +222,6 @@ def cmd_experiment(args, cfg):
     run, files = args.experiment, []
     if "plant" in cfg.doc:
         raise ConfigError(f"plant: experiment {run} runs on its own body, not the config's")
-    if args.static_model and run in ("relax", "safety"):
-        raise ConfigError(f"--static-model: experiment {run} runs no h")
     if run == "relax":      # MRC on a co-contracted arm, criterion 5
         files.append(_out_path(args, "relax_log.csv"))
         m = harness.run_mrc_experiment(log_path=files[0])
@@ -253,7 +251,6 @@ def cmd_experiment(args, cfg):
 
 
 COMMANDS = {
-    "init-model": cmd_init_model,
     "collect": cmd_collect,
     "train-dynamics": cmd_train_dynamics,
     "run": cmd_run,
@@ -263,17 +260,14 @@ COMMANDS = {
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="tendonctl",
-                                description="tendon-driven robot control experiments")
-    sub = p.add_subparsers(dest="command", required=True)
+    p = Parser(prog="tendonctl", description="tendon-driven robot control experiments")
+    sub = p.add_subparsers(dest="command", required=True)   # each a Parser too
     for name in COMMANDS:   # the flags every command reads
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="JSON config path")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="results")
     # the others, each only where a command reads it
-    for name in ("init-model", "collect", "run", "compare", "experiment"):
-        sub.choices[name].add_argument("--static-model", default=None)
     for name in ("run", "compare"):
         sub.choices[name].add_argument("--dynamics-model", default=None)
     for name in ("compare", "experiment"):
@@ -285,16 +279,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise ConfigError(f"--seed: expected a non-negative integer, got {args.seed}")
         doc = load_json(args.config) if args.config else {"version": VERSION}
         return COMMANDS[args.command](args, read_config(doc, args.seed))
+    except SystemExit as exc:   # -h printed the help
+        return exc.code
     except (ConfigError, DocumentError, InitializationError, TrainingThresholdError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

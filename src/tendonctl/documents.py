@@ -1,7 +1,7 @@
-"""The package's documents (the config, the body description, the model
-files and the rollout archive): one typed reader, one version rule, and the
-``Document`` base that writes and reads a model file by its class constants.
-It imports no other module of the package."""
+"""The package's documents (the config, the body description, the one model
+file, the dynamics model's, and the rollout archive): one typed reader, one
+version rule, and the ``Document`` base that writes and reads a model file by
+its class constants.  It imports no other module of the package."""
 
 import dataclasses
 import inspect
@@ -81,7 +81,8 @@ def take(section, path, target, keys, positive, seed=0):
                 raise DocumentError(f"{at}: missing")
             kwargs[p.name] = p.default
         elif key == "train":
-            kwargs[p.name] = read(section.pop(key), at, p.annotation, TRAIN_KEYS, seed=seed)
+            kwargs[p.name] = dataclasses.replace(
+                read(section.pop(key), at, p.annotation, TRAIN_KEYS), seed=seed)
         else:
             kind = type(p.default) if p.annotation is p.empty else p.annotation
             kwargs[p.name] = checked(at, section.pop(key), kind, positive)
@@ -100,14 +101,13 @@ def build(path, cls, kwargs):
         raise DocumentError(f"{path}: {exc}") from exc
 
 
-def read(value, path, cls, keys=None, **fixed):
+def read(value, path, cls, keys=None):
     """A ``cls`` built from the JSON object ``value``, which holds ``keys``
-    (all of ``cls``'s parameters by default) and no other key, and from the
-    keyword arguments ``fixed``."""
+    (all of ``cls``'s parameters by default) and no other key."""
     section = as_object(value, path)
     kwargs = take(section, path, cls, keys, False)
     done(section, f"{path}.")
-    return build(path, cls, dict(kwargs, **fixed))
+    return build(path, cls, kwargs)
 
 
 def versioned(doc, path, *legacy):
@@ -146,9 +146,7 @@ class Document:
     """A class saved as one versioned JSON object by its constants: ``KEYS``
     in file order, each "key" or "key:attribute", the attribute also the
     constructor's parameter; ``LEGACY``, entries of older files, dropped on
-    reading; ``NAME``, its path in errors.  A None attribute is left out.
-    Reading takes the constructor's other arguments by keyword, such as the
-    body an h is bound to."""
+    reading; ``NAME``, its path in errors.  A None attribute is left out."""
 
     KEYS, LEGACY, NAME = "", (), "document"
 
@@ -158,16 +156,15 @@ class Document:
         return {"version": VERSION, **{k: _plain(v) for k, v in values.items() if v is not None}}
 
     @classmethod
-    def from_dict(cls, d, path=None, **fixed):
-        """The ``cls`` of a ``to_dict`` document and of the keyword arguments
-        ``fixed``.  Raises DocumentError."""
+    def from_dict(cls, d, path=None):
+        """The ``cls`` of a ``to_dict`` document.  Raises DocumentError."""
         path = path or cls.NAME
-        return read(versioned(d, path, *cls.LEGACY), path, cls, cls.KEYS, **fixed)
+        return read(versioned(d, path, *cls.LEGACY), path, cls, cls.KEYS)
 
     def save(self, path):
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh)
 
     @classmethod
-    def load(cls, path, **fixed):
-        return cls.from_dict(load_json(path), **fixed)
+    def load(cls, path):
+        return cls.from_dict(load_json(path))

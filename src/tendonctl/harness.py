@@ -140,10 +140,10 @@ class PedalRig:
         return self.state, self.car
 
 
-def build_pedal_rig(static_model, car_cfg=None, geom=None):
-    """A pedal rig on ``geom`` (the default ankle) driven through ``static_model``."""
-    geom = geom or default_ankle_geometry()
-    return PedalRig(geom, ANKLE_PLANT_CONFIG, car_cfg or CarConfig(), static_model)
+def build_pedal_rig(static_model, car_cfg=None):
+    """A pedal rig on the body of ``static_model`` (h), driven through it."""
+    return PedalRig(static_model.geom, ANKLE_PLANT_CONFIG, car_cfg or CarConfig(),
+                    static_model)
 
 
 def train_pedal_dynamics(rig_factory, horizon=PEDAL_HORIZON, duration_s=60.0,

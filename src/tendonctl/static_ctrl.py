@@ -3,7 +3,8 @@
 h(theta, f) is the man-made geometric muscle model plus a residual net,
 which starts at zero.  h converts task-level (theta_ref, f_ref) into muscle
 length commands, refines its net online from measured sensor triples, and
-estimates joint angles from muscle lengths/tensions with an EKF.
+estimates joint angles from muscle lengths/tensions with an EKF.  h is
+built from its body, by init_from_geometry, and is not saved.
 """
 
 import math
@@ -13,7 +14,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import nets
-from .documents import Document
 from .nets import FeatureScaler, MLPNetwork, TrainConfig
 from .plant import CTRL_DT, elastic_elongation
 
@@ -31,7 +31,7 @@ RESIDUAL_M = 0.01   # the residual net's output range is +-RESIDUAL_M [m]
 ONLINE_CAPACITY, ONLINE_BATCH, ONLINE_NEWEST, ONLINE_LR = 2000, 16, 8, 0.05
 
 
-class IntersensoryModel(Document):
+class IntersensoryModel:
     """h(theta, f) -> l = prior(theta, f) + net(theta, f), with a replay
     buffer for online refinement.
 
@@ -41,29 +41,19 @@ class IntersensoryModel(Document):
     check (the EKF may step past a limit); d prior / d theta is its G.  The net maps (theta, f)
     to the residual, within about +-RESIDUAL_M.
 
-    The body ``geom`` is not saved: it is bound when the file is read
-    (``IntersensoryModel.load(path, geom=...)``) and must have the file's
-    joint and muscle counts.  The file's net is under ``residual``, a key
-    that files of the net-only h lack, so they are refused.
-
     The buffer is a ring of the last ONLINE_CAPACITY triples, held as two
     arrays of rows already mapped to the net's unit ranges (the length as
     its residual from the prior): each triple is mapped once, when it is
     inserted, and a batch is one gather."""
 
-    KEYS, NAME = "n_joints n_muscles residual:net", "h"
-
-    def __init__(self, net: MLPNetwork, n_joints: int, n_muscles: int, geom):
+    def __init__(self, net: MLPNetwork, geom):
+        n_joints, n_muscles = geom.n_joints, geom.n_muscles
         if net.in_scaler is None or net.out_scaler is None:
             raise ValueError("its net has no input_range or output_range")
-        if min(n_joints, n_muscles) < 1 or net.layer_sizes[0] != n_joints + n_muscles \
-                or net.layer_sizes[-1] != n_muscles:
+        if net.layer_sizes[0] != n_joints + n_muscles or net.layer_sizes[-1] != n_muscles:
             raise nets.DimensionError(
                 f"net layers {net.layer_sizes} do not map n_joints {n_joints} + n_muscles "
                 f"{n_muscles} inputs to n_muscles outputs")
-        if (geom.n_joints, geom.n_muscles) != (n_joints, n_muscles):
-            raise ValueError(f"{n_joints} joints and {n_muscles} muscles, but the body "
-                             f"has {geom.n_joints} and {geom.n_muscles}")
         self.net = net
         self.n_joints = n_joints
         self.n_muscles = n_muscles
@@ -197,7 +187,7 @@ def init_from_geometry(geom, grid_points=15, f_samples=12, train_cfg: TrainConfi
     if not loss <= loss_threshold:
         raise InitializationError(
             f"residual net loss {loss:.3e} on the geometric grid above {loss_threshold:.1e}")
-    return IntersensoryModel(net, geom.n_joints, geom.n_muscles, geom)
+    return IntersensoryModel(net, geom)
 
 
 # --------------------------------------------------------------------------

@@ -31,14 +31,12 @@ def run_pipeline(out):
     """{artifact: sha256} of the seed-0 pipeline run through ``cli.main``
     into ``out``, one directory per step.  A report that lists output paths
     is hashed by its metrics."""
-    h = str(out / "init-model" / "static_model.json")
     rollout = str(out / "collect" / "rollout.npz")
     steps = {
-        "init-model": ["init-model"],
-        "collect": ["collect", "--static-model", h],
+        "collect": ["collect"],
         "train-dynamics": ["train-dynamics", "--data", rollout],
-        **{f"run-{name}": ["run", "--config", str(ROOT / "configs" / f"{name}.json"),
-                           "--static-model", h] for name in ("drive_events", "pedal")},
+        **{f"run-{name}": ["run", "--config", str(ROOT / "configs" / f"{name}.json")]
+           for name in ("drive_events", "pedal")},
         **{f"experiment-{name}": ["experiment", name]
            for name in ("ekf", "online", "relax", "safety")},
     }

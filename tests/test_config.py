@@ -3,7 +3,6 @@ checked against the config, one pre-training call, README commands."""
 
 import copy
 import dataclasses
-import functools
 import inspect
 import json
 import math
@@ -24,7 +23,6 @@ from tendonctl.nets import FeatureScaler, MLPNetwork
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted((ROOT / "configs").glob("*.json"))}
 ANKLE = json.loads((ROOT / "tests" / "fixtures" / "ankle_description.json").read_text())
-ANKLE_GEOM = plant.default_ankle_geometry()
 
 
 def run_cli(tmp_path, argv, **sections):
@@ -297,7 +295,6 @@ def test_cli_experiment_with_a_plant_section_exits_1(name, tmp_path, no_training
 
 
 @pytest.mark.parametrize("command,flag", [
-    ("init-model", "--assert"), ("init-model", "--dynamics-model"),
     ("collect", "--assert"), ("collect", "--dynamics-model"),
     ("train-dynamics", "--assert"), ("train-dynamics", "--static-model"),
     ("train-dynamics", "--dynamics-model"), ("run", "--assert"),
@@ -312,17 +309,29 @@ def test_cli_flag_the_command_does_not_read_exits_1(command, flag, tmp_path, no_
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["relax", "safety"])
-def test_cli_experiment_without_h_refuses_a_static_model(name, tmp_path, no_training,
-                                                         static_model_path, capsys):
-    code = run_cli(tmp_path, ["experiment", name, "--static-model", static_model_path])
-    assert_one_line_error(code, capsys, "--static-model", name)
+@pytest.mark.parametrize("argv,named", [
+    (["init-model"], "invalid choice: 'init-model'"),
+    (["collect", "--static-model", "h.json"], "unrecognized arguments: --static-model"),
+    (["run", "--static-model", "h.json"], "unrecognized arguments: --static-model"),
+    (["compare", "--static-model", "h.json"], "unrecognized arguments: --static-model"),
+    (["experiment", "ekf", "--static-model", "h.json"], "unrecognized arguments: --static-model"),
+    (["run", "--seed", "abc"], "--seed: invalid int value: 'abc'"),
+    (["train-dynamics"], "required: --data"),
+], ids=["init-model", "collect-static-model", "run-static-model", "compare-static-model",
+        "experiment-static-model", "seed-not-an-integer", "no-data"])
+def test_cli_usage_error_is_one_line(argv, named, tmp_path, no_training, capsys):
+    # argparse printed a usage block before its error line
+    assert_one_line_error(run_cli(tmp_path, argv), capsys, "error: ", named)
 
 
-def test_cli_pid_run_refuses_a_dynamics_model(tmp_path, no_training, static_model_path, capsys):
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["run", "-h"]) == 0
+    assert "--dynamics-model" in capsys.readouterr().out
+
+
+def test_cli_pid_run_refuses_a_dynamics_model(tmp_path, no_training, capsys):
     # a pid scenario runs no dynamics model: the flag is refused, not ignored
-    code = run_cli(tmp_path, ["run", "--static-model", static_model_path,
-                              "--dynamics-model", str(tmp_path / "nonexistent" / "dyn.json")],
+    code = run_cli(tmp_path, ["run", "--dynamics-model", str(tmp_path / "nonexistent" / "dyn.json")],
                    scenario={"controller": "pid", "duration_s": 0.2})
     assert_one_line_error(code, capsys, "error: --dynamics-model: ")
 
@@ -340,16 +349,9 @@ def write_dynamics_model(path, state_dim=7, horizon=25):
     return str(path)
 
 
-@pytest.fixture
-def static_model_path(tmp_path, static_model):
-    path = tmp_path / "static.json"
-    static_model.save(path)
-    return str(path)
-
-
-def test_cli_run_takes_the_horizon_of_a_loaded_model(tmp_path, static_model_path):
+def test_cli_run_takes_the_horizon_of_a_loaded_model(tmp_path):
     dyn = write_dynamics_model(tmp_path / "dyn.json", horizon=25)
-    code = run_cli(tmp_path, ["run", "--static-model", static_model_path, "--dynamics-model", dyn],
+    code = run_cli(tmp_path, ["run", "--dynamics-model", dyn],
                    scenario={"duration_s": 0.2})
     assert code == 0
 
@@ -357,10 +359,9 @@ def test_cli_run_takes_the_horizon_of_a_loaded_model(tmp_path, static_model_path
 @pytest.mark.parametrize("dynamics,state_dim,named", [
     ({"N": 10}, 7, "horizon 25"), ({}, 5, "state_dim 5"),
 ], ids=["N-differs", "state-dim-differs"])
-def test_cli_loaded_model_mismatch_exits_1(dynamics, state_dim, named, tmp_path,
-                                           static_model_path, capsys):
+def test_cli_loaded_model_mismatch_exits_1(dynamics, state_dim, named, tmp_path, capsys):
     dyn = write_dynamics_model(tmp_path / "dyn.json", state_dim=state_dim)
-    code = run_cli(tmp_path, ["run", "--static-model", static_model_path, "--dynamics-model", dyn],
+    code = run_cli(tmp_path, ["run", "--dynamics-model", dyn],
                    scenario={"duration_s": 0.2}, dynamics=dynamics)
     assert_one_line_error(code, capsys, named)
 
@@ -371,8 +372,15 @@ def test_cli_loaded_model_mismatch_exits_1(dynamics, state_dim, named, tmp_path,
     (lambda d: d.update(horizon=24), "horizon 24"),
     (lambda d: d.update(u_limits=[0.6, 0.0]), "u_limits"),
     (lambda d: d.update(u_limits=[0.0, 0.3, 0.6]), "u_limits"),
+    (lambda d: d["net"]["weights"][1].pop(), "net: layer 1: weight shape (24, 8)"),
+    (lambda d: d["net"]["weights"][0][0].__setitem__(0, float("nan")),
+     "net.weights[0]: expected an array of finite numbers"),
+    (lambda d: d["net"]["input_range"].update(hi=d["net"]["input_range"]["lo"]),
+     "net.input_range: scaler ranges must have hi > lo"),
+    (lambda d: d["net"].update(dropout=0.5), "net.dropout: unknown key"),
 ], ids=["no-input-scaler", "no-output-scaler", "layers-not-of-the-horizon", "limits-reversed",
-        "limits-not-a-pair"])
+        "limits-not-a-pair", "weights-do-not-chain", "nan-weight", "scaler-hi-not-above-lo",
+        "unknown-key"])
 def test_cli_malformed_dynamics_model_exits_1(defect, named, tmp_path, no_training, capsys):
     # each used to pass loading and end in a traceback (or run on) after h
     # was pre-trained; the document is now refused before
@@ -392,76 +400,17 @@ def scaled_net(sizes):
                              out_scaler=FeatureScaler(np.zeros(sizes[-1]), np.ones(sizes[-1])))
 
 
-def test_cli_static_model_of_another_body_exits_1(tmp_path, no_training, capsys):
-    # h of a 2-joint, 6-muscle arm against the config's ankle is refused when
-    # the stack is built, not at the first tick
-    arm_h = static_ctrl.IntersensoryModel(scaled_net([8, 4, 6]), 2, 6,
-                                          plant.default_arm_geometry())
-    arm_h.save(tmp_path / "arm_h.json")
-    code = run_cli(tmp_path, ["collect", "--static-model", str(tmp_path / "arm_h.json")])
-    assert_one_line_error(code, capsys, "2 joints and 6 muscles", "has 1 and 2")
-
-
-@pytest.mark.parametrize("defect,named", [
-    (b"{", "invalid JSON"),
-    (b"\xff", "invalid JSON"),
-    (b"[" * 100_000, "invalid JSON"),
-    (b"[]", "expected an object, got list"),
-    (lambda d: d.pop("residual"), "h.residual: missing"),
-    (lambda d: d.update(n_joints=1.0), "h.n_joints: expected int"),
-    (lambda d: d["residual"]["weights"][1].pop(), "h.residual: layer 1: weight shape (15, 16)"),
-    (lambda d: d["residual"]["weights"][0][0].__setitem__(0, float("nan")),
-     "h.residual.weights[0]: expected an array of finite numbers"),
-    (lambda d: d["residual"]["input_range"].update(hi=d["residual"]["input_range"]["lo"]),
-     "residual.input_range: scaler ranges must have hi > lo"),
-    (lambda d: d["residual"].pop("output_range"), "output_range"),
-    (lambda d: d.update(residual=scaled_net([3, 4, 3]).to_dict()), "h: net layers [3, 4, 3]"),
-    (lambda d: d["residual"].update(dropout=0.5), "h.residual.dropout: unknown key"),
-], ids=["not-json", "not-utf-8", "nested-too-deep", "json-list", "no-net", "joints-not-an-integer",
-        "weights-do-not-chain", "nan-weight", "scaler-hi-not-above-lo", "no-output-scaler",
-        "three-outputs-for-two-muscles", "unknown-key"])
-def test_cli_malformed_static_model_exits_1(defect, named, tmp_path, static_model,
-                                            no_training, capsys):
-    # each ended in a traceback: on loading, or at the EKF's first tick
-    path = tmp_path / "h.json"
-    if isinstance(defect, bytes):
-        path.write_bytes(defect)
-    else:
-        doc = static_model.to_dict()
-        defect(doc)
-        path.write_text(json.dumps(doc))
-    code = run_cli(tmp_path, ["experiment", "ekf", "--static-model", str(path)])
-    assert_one_line_error(code, capsys, named)
-
-
-@pytest.mark.parametrize("argv", [["run"], ["collect"], ["experiment", "ekf"],
-                                  ["experiment", "online"]], ids=lambda argv: "-".join(argv))
-def test_cli_net_only_static_model_exits_1(argv, tmp_path, static_model, no_training, capsys):
-    # an h written before the geometric prior holds its whole map under
-    # "net"; read as the residual it would add the geometry twice
-    doc = static_model.to_dict()
-    doc["net"] = doc.pop("residual")
-    path = tmp_path / "h.json"
-    path.write_text(json.dumps(doc))
-    code = run_cli(tmp_path, argv + ["--static-model", str(path)])
-    assert_one_line_error(code, capsys, "h.residual: missing")
-
-
-H_DOC = static_ctrl.IntersensoryModel(scaled_net([3, 4, 2]), 1, 2, ANKLE_GEOM).to_dict()
-READ_H = functools.partial(static_ctrl.IntersensoryModel.from_dict, geom=ANKLE_GEOM)
+NET_DOC = scaled_net([3, 4, 2]).to_dict()
 MODEL_DOCUMENTS = [   # (reader, document)
-    (READ_H, H_DOC),
     (DynamicsModel.from_dict,
      DynamicsModel(scaled_net([5, 4, 3]), 2, 3, (0.0, 0.6)).to_dict()),
-    (MLPNetwork.from_dict, H_DOC["residual"]),
+    (MLPNetwork.from_dict, NET_DOC),
 ]
 
 
 def use(model):
     """Run the loaded model once on zeros, as its first caller would."""
-    if isinstance(model, static_ctrl.IntersensoryModel):
-        model.length_jacobian_theta(np.zeros(model.n_joints), np.zeros(model.n_muscles))
-    elif isinstance(model, DynamicsModel):
+    if isinstance(model, DynamicsModel):
         model.fold(np.zeros(model.state_dim)).forward(np.zeros(model.horizon))
     else:   # a bare net's scalers are optional
         n_in, n_out = model.layer_sizes[0], model.layer_sizes[-1]
@@ -475,9 +424,8 @@ def use(model):
 VERSIONED = {   # each versioned JSON document, read with its version replaced
     "config": lambda v: cli.read_config({"version": v}),
     "plant": lambda v: cli.read_config({"version": 1, "plant": dict(ANKLE, version=v)}),
-    "h": lambda v: READ_H(dict(H_DOC, version=v)),
-    "dynamics-model": lambda v: DynamicsModel.from_dict(dict(MODEL_DOCUMENTS[1][1], version=v)),
-    "net": lambda v: MLPNetwork.from_dict(dict(H_DOC["residual"], version=v)),
+    "dynamics-model": lambda v: DynamicsModel.from_dict(dict(MODEL_DOCUMENTS[0][1], version=v)),
+    "net": lambda v: MLPNetwork.from_dict(dict(NET_DOC, version=v)),
 }
 
 
@@ -492,9 +440,8 @@ def test_a_version_is_the_integer_1(document, version):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(MODEL_DOCUMENTS).flatmap(
     lambda case: mutated([case[1]]).map(lambda doc: (case[0], doc))))
-@example((READ_H, dict(H_DOC, n_joints=2)))
 @example((MLPNetwork.from_dict, {"version": 1, "layer_sizes": [3], "weights": [], "biases": []}))
-@example((MLPNetwork.from_dict, dict(H_DOC["residual"], biases=[[0.0] * 4, [0.0, float("nan")]])))
+@example((MLPNetwork.from_dict, dict(NET_DOC, biases=[[0.0] * 4, [0.0, float("nan")]])))
 def test_model_readers_return_a_usable_model_or_raise_document_error(case):
     reader, doc = case
     try:
@@ -523,10 +470,9 @@ def write_rollout(path, n=40, **arrays):
     return str(path)
 
 
-def test_collect_writes_what_train_dynamics_reads(tmp_path, static_model_path):
+def test_collect_writes_what_train_dynamics_reads(tmp_path):
     dyn = {"N": 10, "rollout_s": 0.6, "rms_threshold": 100.0}
-    assert run_cli(tmp_path, ["collect", "--static-model", static_model_path],
-                   dynamics=dyn) == 0
+    assert run_cli(tmp_path, ["collect"], dynamics=dyn) == 0
     data = tmp_path / "out" / "rollout.npz"
     assert int(np.load(data)["version"]) == documents.VERSION
     assert run_cli(tmp_path, ["train-dynamics", "--data", str(data)], dynamics=dyn) == 0
@@ -561,7 +507,7 @@ def test_cli_rollout_that_is_not_an_npz_exits_1(tmp_path, no_training, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["init-model"], ["collect"], ["run"], ["compare"], ["experiment", "ekf"],
+    ["collect"], ["run"], ["compare"], ["experiment", "ekf"],
     ["experiment", "online"],
 ], ids=lambda argv: "-".join(argv))
 def test_cli_pretrains_h_with_init_from_geometry_defaults(argv, tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from tendonctl import cli, documents, harness, static_ctrl
 from tendonctl.dynamic_ctrl import DynamicsModel
 from tendonctl.harness import (RunReport, Scenario, config_hash, run_scenario,
                                settle_time)
-from tendonctl.plant import default_ankle_geometry, default_arm_geometry
+from tendonctl.plant import default_arm_geometry
 from test_config import ANKLE, scaled_net
 
 
@@ -206,9 +206,7 @@ def test_cli_unknown_flag_exits_1(capsys):
     assert cli.main(["run", "--bogus-flag"]) == 1
 
 
-def test_cli_run_happy_path(tmp_path, static_model, capsys):
-    model_path = tmp_path / "static.json"
-    static_model.save(model_path)
+def test_cli_run_happy_path(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "version": 1,
@@ -217,7 +215,7 @@ def test_cli_run_happy_path(tmp_path, static_model, capsys):
     }))
     out = tmp_path / "results"
     code = cli.main(["run", "--config", str(cfg), "--seed", "7",
-                     "--out", str(out), "--static-model", str(model_path)])
+                     "--out", str(out)])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["seed"] == 7
@@ -251,32 +249,14 @@ def test_cli_compare_hashes_the_whole_config(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(cli.EXPERIMENTS))
-def test_cli_experiment(name, tmp_path, static_model):
-    model_path = tmp_path / "static.json"
-    static_model.save(model_path)
+def test_cli_experiment(name, tmp_path):
     out = tmp_path / name
-    h = ["--static-model", str(model_path)] if name in ("ekf", "online") else []
-    code = cli.main(["experiment", name, "--out", str(out), "--assert", *h])
+    code = cli.main(["experiment", name, "--out", str(out), "--assert"])
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["name"] == name
     if name == "ekf":
         assert report["metrics"]["rmse_rad"] < 0.05
-
-
-def test_cli_init_model_roundtrip(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "version": 1,
-        "static": {"grid_points": 5, "f_samples": 4,
-                   "loss_threshold": 10.0,
-                   "train": {"learning_rate": 0.1, "epochs": 30}},
-    }))
-    out = tmp_path / "m"
-    assert cli.main(["init-model", "--config", str(cfg), "--out", str(out)]) == 0
-    from tendonctl.static_ctrl import IntersensoryModel
-    model = IntersensoryModel.load(out / "static_model.json", geom=default_ankle_geometry())
-    assert model.n_muscles == 2
 
 
 # -- CLI: one pre-training per run, errors end in exit 1 ------------------
@@ -344,21 +324,17 @@ def test_cli_training_threshold_error_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--static-model", "/nonexistent/static.json"],
     ["run", "--dynamics-model", "/nonexistent/dynamics.json"],
     ["train-dynamics", "--data", "/nonexistent/rollout.npz"],
-], ids=["static-model", "dynamics-model", "data"])
+], ids=["dynamics-model", "data"])
 def test_cli_missing_model_or_data_file_exits_1(argv, tmp_path, capsys):
     code = cli.main(argv + ["--out", str(tmp_path / "out")])
     assert_one_line_error(code, capsys)
 
 
-@pytest.mark.parametrize("flag", ["--static-model", "--dynamics-model"])
-def test_cli_model_version_error_exits_1(flag, tmp_path, static_model, capsys):
-    if flag == "--static-model":
-        d = static_model.to_dict()
-    else:
-        d = DynamicsModel(scaled_net([3, 2]), 1, 2, (0.0, 1.0)).to_dict()
+@pytest.mark.parametrize("flag", ["--dynamics-model"])
+def test_cli_model_version_error_exits_1(flag, tmp_path, capsys):
+    d = DynamicsModel(scaled_net([3, 2]), 1, 2, (0.0, 1.0)).to_dict()
     d["version"] = 99
     path = tmp_path / "model.json"
     path.write_text(json.dumps(d))

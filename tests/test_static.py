@@ -1,14 +1,13 @@
 """Intersensory model: geometric init, inference, online learning, EKF."""
 
 import copy
-import json
 from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tendonctl import cli, nets, static_ctrl
+from tendonctl import cli, harness, nets, static_ctrl
 from tendonctl.nets import DimensionError, FeatureScaler, MLPNetwork, TrainConfig
 from tendonctl.plant import (ANKLE_PLANT_CONFIG, CTRL_DT, MuscleGeometry, Plant,
                              default_ankle_geometry, default_arm_geometry,
@@ -69,13 +68,15 @@ def test_init_on_a_body_without_slack_runs_no_epoch(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [2, 5])
-def test_cli_init_model_at_a_seed_that_missed_the_threshold(seed, tmp_path):
+def test_cli_experiment_ekf_at_a_seed_that_missed_the_threshold(seed, tmp_path, monkeypatch):
     # the net-only h missed 1e-4 at seeds 2-5 (final loss 1.02-1.12e-4)
+    built, real = [], harness.run_ekf_experiment
+    monkeypatch.setattr(harness, "run_ekf_experiment",
+                        lambda model, **kw: built.append(model) or real(model, **kw))
     out = tmp_path / "out"
-    assert cli.main(["init-model", "--seed", str(seed), "--out", str(out)]) == 0
-    model = IntersensoryModel.load(out / "static_model.json", geom=ANKLE)
+    assert cli.main(["experiment", "ekf", "--seed", str(seed), "--out", str(out)]) == 0
     theta, f = np.array([0.4]), np.full(2, 30.0)
-    assert np.array_equal(model.infer_command(theta, f),
+    assert np.array_equal(built[0].infer_command(theta, f),
                           ANKLE.muscle_lengths(theta) - elastic_elongation(ANKLE, f))
 
 
@@ -177,7 +178,7 @@ def _unit_model():
     net = MLPNetwork.seeded([3, 4, 2], seed=0,
                             in_scaler=FeatureScaler(-np.ones(3), np.ones(3)),
                             out_scaler=FeatureScaler(-np.ones(2), np.ones(2)))
-    return IntersensoryModel(net, 1, 2, ANKLE)
+    return IntersensoryModel(net, ANKLE)
 
 
 def test_buffer_evicts_oldest_first():
@@ -235,69 +236,15 @@ def test_online_update_validates_dimensions(static_model):
         model.online_update(np.zeros(1), np.zeros(2), np.zeros(3))
 
 
-# -- serialization ---------------------------------------------------------
-
-
-def test_model_round_trip(tmp_path, static_model):
-    model = copy.deepcopy(static_model)
-    theta = np.array([0.4])
-    f = np.full(2, 55.0)
-    l = model.infer_command(theta, f) + 1e-3
-    for k in range(20):
-        model.online_update(theta + 0.01 * k, f, l)
-    path = tmp_path / "model.json"
-    model.save(path)
-    back = IntersensoryModel.load(path, geom=model.geom)
-    assert np.array_equal(back.infer_command(theta, f), model.infer_command(theta, f))
-    assert back.n_joints == 1 and back.n_muscles == 2
-    # the replay buffer is transient: the loaded model's first online update
-    # is that of a fresh model of the same net
-    fresh = IntersensoryModel(copy.deepcopy(model.net), 1, 2, model.geom)
-    back.online_update(theta, f, l)
-    fresh.online_update(theta, f, l)
-    for a, b in zip(back.net.weights + back.net.biases, fresh.net.weights + fresh.net.biases):
-        assert np.array_equal(a, b)
-
-
-def test_residual_net_with_a_seed_loads_bit_identically(static_model):
-    # nets written before the net seed became a constant carry it
-    d = static_model.to_dict()
-    d["residual"]["seed"] = 0
-    back = IntersensoryModel.from_dict(json.loads(json.dumps(d)), geom=ANKLE)
-    theta, f = np.array([0.4]), np.full(2, 55.0)
-    assert np.array_equal(back.infer_command(theta, f), static_model.infer_command(theta, f))
-
-
-def test_net_only_document_is_refused(static_model):
-    # an h written before the geometric prior holds its whole map under "net"
-    # (and, older still, its online settings): read as a residual it would
-    # add the geometry twice
-    d = static_model.to_dict()
-    d["net"] = d.pop("residual")
-    for old in (d, dict(d, online={"buffer_capacity": 2000})):
-        with pytest.raises(ValueError, match="h.residual: missing"):
-            IntersensoryModel.from_dict(json.loads(json.dumps(old)), geom=ANKLE)
-
-
-def test_from_dict_rejects_unknown_version(static_model):
-    d = static_model.to_dict()
-    d["version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        IntersensoryModel.from_dict(d, geom=ANKLE)
-
-
 def test_constructor_refuses_a_net_it_cannot_run():
     # each was built, and then failed at its first use
     net = _unit_model().net   # 3 inputs, 2 outputs, both scalers
     bare = MLPNetwork(net.layer_sizes, net.weights, net.biases, in_scaler=net.in_scaler)
     with pytest.raises(ValueError, match="output_range"):
-        IntersensoryModel(bare, 1, 2, ANKLE)
-    for n_joints, n_muscles in ((2, 2), (2, 1), (0, 3)):
-        with pytest.raises(DimensionError, match="do not map"):
-            IntersensoryModel(net, n_joints, n_muscles, ANKLE)
-    # a net of the file's counts, but not of the body's
-    with pytest.raises(ValueError, match="1 joints and 2 muscles, but the body has 2 and 6"):
-        IntersensoryModel(net, 1, 2, ARM)
+        IntersensoryModel(bare, ANKLE)
+    # a net of the ankle's counts on the arm's 2 joints and 6 muscles
+    with pytest.raises(DimensionError, match=r"\[3, 4, 2\] do not map n_joints 2 \+ n_muscles 6"):
+        IntersensoryModel(net, ARM)
 
 
 # -- EKF -------------------------------------------------------------------
@@ -383,7 +330,7 @@ def _arm_model():
                           in_scaler=FeatureScaler(np.r_[-1.0, -1.5, np.zeros(6)],
                                                   np.r_[1.0, 1.5, np.full(6, 120.0)]),
                           out_scaler=FeatureScaler(np.full(6, -0.01), np.full(6, 0.02))),
-        n_joints=2, n_muscles=6, geom=ARM)
+        geom=ARM)
 
 
 def test_length_jacobian_matches_per_muscle_loop(static_model):
